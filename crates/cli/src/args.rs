@@ -288,8 +288,8 @@ USAGE:
     kecss convert  --input <FILE> --output <FILE>
     kecss sweep    (--family <F> --n <N1,N2,...> | --input <FILE>) [--k <K>] [--max-weight <W>] [--algorithms <A1,A2,...>] [--seeds <S>] [--base-seed <B>] [--threads <T>] [--enumerator <E>] [--trace <FILE>]
     kecss serve    [--addr <HOST:PORT>] [--threads <T>] [--queue-depth <Q>] [--max-requests-per-conn <N>] [--write-queue-limit <BYTES>]
-    kecss serve    --role coordinator [--addr <HOST:PORT>] [--queue-depth <Q>] [--heartbeat-timeout-ms <MS>] [--max-retries <R>]
-    kecss serve    --role worker --coordinator <HOST:PORT> [--addr <HOST:PORT>] [--advertise <HOST:PORT>] [--worker-id <ID>] [--heartbeat-ms <MS>] [--threads <T>] [--queue-depth <Q>]
+    kecss serve    --role coordinator [--addr <HOST:PORT>] [--queue-depth <Q>] [--heartbeat-timeout-ms <MS>] [--max-retries <R>] [--max-requests-per-conn <N>] [--write-queue-limit <BYTES>]
+    kecss serve    --role worker --coordinator <HOST:PORT> [--addr <HOST:PORT>] [--advertise <HOST:PORT>] [--worker-id <ID>] [--heartbeat-ms <MS>] [--threads <T>] [--queue-depth <Q>] [--max-requests-per-conn <N>] [--write-queue-limit <BYTES>]
     kecss submit   --addr <HOST:PORT> --instance <SPEC> [--k <K>] [--algorithm <A>] [--enumerator <E>] [--seed <S>] [--timeout-secs <T>] [--no-wait true] [--payload-only true] [--binary true]
     kecss submit   --addr <HOST:PORT> --metrics true
     kecss submit   --addr <HOST:PORT> --shutdown true
@@ -326,7 +326,8 @@ exposition (the METRICS verb, DESIGN.md §11); '--shutdown true' asks the
 server to drain and exit instead.
 
 `serve --role coordinator|worker|standalone` picks the fleet role (DESIGN.md
-§13; default standalone, the single-process service). A coordinator accepts
+§13; default standalone, the single-process service, on 127.0.0.1:7461).
+A coordinator (default 127.0.0.1:7460, where workers look for it) accepts
 the same client protocol and dispatches every job to a registered worker over
 that same wire format, with an explicit QUEUED -> ASSIGNED -> RUNNING ->
 DONE/FAILED lifecycle, heartbeat-timeout worker-loss detection
@@ -598,7 +599,13 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
         }
         "coordinator" => {
             reject(
-                &["coordinator", "worker-id", "heartbeat-ms", "advertise"],
+                &[
+                    "coordinator",
+                    "worker-id",
+                    "heartbeat-ms",
+                    "advertise",
+                    "threads",
+                ],
                 "coordinator",
             )?;
             ServeRole::Coordinator {
@@ -633,12 +640,13 @@ fn parse_serve(rest: &[&String]) -> Result<Command, CliError> {
             )))
         }
     };
-    // A worker defaults to an ephemeral port (many per host); the other
-    // roles keep the established default service port.
-    let default_addr = if matches!(role, ServeRole::Worker { .. }) {
-        "127.0.0.1:0"
-    } else {
-        "127.0.0.1:7461"
+    // A worker defaults to an ephemeral port (many per host); the
+    // coordinator to the fleet port workers dial by default, and a
+    // standalone server to the established service port.
+    let default_addr = match role {
+        ServeRole::Standalone => "127.0.0.1:7461",
+        ServeRole::Coordinator { .. } => "127.0.0.1:7460",
+        ServeRole::Worker { .. } => "127.0.0.1:0",
     };
     Ok(Command::Serve {
         addr: map
@@ -1141,7 +1149,7 @@ mod tests {
             ]))
             .unwrap(),
             Command::Serve {
-                addr: "127.0.0.1:7461".into(),
+                addr: "127.0.0.1:7460".into(),
                 threads: 1,
                 queue_depth: 16,
                 max_requests_per_conn: 0,
@@ -1200,6 +1208,8 @@ mod tests {
             "3"
         ]))
         .is_err());
+        // The coordinator solves nothing itself, so --threads is refused too.
+        assert!(parse(&argv(&["serve", "--role", "coordinator", "--threads", "2"])).is_err());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * [`sweep`] — concurrent grids of independent cells (instances ×
 //!   algorithms × seeds) with [`congest::RunReport`] aggregation, plus the
 //!   job-granular scheduling seam ([`sweep::run_jobs`] for fixed grids,
-//!   [`JobPool`] for open-ended job streams such as the `kecss_serve`
+//!   [`JobPool`] for open-ended job streams such as the `kecss serve`
 //!   front-end).
 //!
 //! # Example

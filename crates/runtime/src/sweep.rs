@@ -19,7 +19,7 @@
 //!
 //! For open-ended streams of work — where jobs arrive over time instead of as
 //! a fixed grid — [`JobPool`] keeps a set of persistent workers draining a
-//! shared queue. This is the seam the `kecss_serve` front-end schedules
+//! shared queue. This is the seam the `kecss serve` front-end schedules
 //! request jobs onto.
 
 use crate::executor::Executor;
@@ -101,7 +101,7 @@ where
 /// jobs: the job-granular scheduling seam for open-ended work streams.
 ///
 /// Where [`run_jobs`] schedules a *fixed* grid, a `JobPool` accepts jobs over
-/// time — the `kecss_serve` front-end submits one job per accepted request —
+/// time — the `kecss serve` front-end submits one job per accepted request —
 /// and executes them FIFO across `threads` workers. The pool itself imposes no
 /// ordering on completions and no bound on the queue; callers that need
 /// backpressure (the server's bounded job table) or deterministic result

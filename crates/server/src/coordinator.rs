@@ -15,7 +15,7 @@
 //!   sending `HEARTBEAT <id> <addr>` periodically; a worker whose beats stop
 //!   for longer than the configured timeout is deregistered and its
 //!   in-flight jobs re-queued.
-//! * **Lifecycle.** Every job walks the [`FleetState`] machine
+//! * **Lifecycle.** Every job walks the [`JobState`] machine
 //!   (`QUEUED → ASSIGNED → RUNNING → DONE/FAILED`, with the two loss
 //!   transitions back to `QUEUED`); illegal transitions panic rather than
 //!   corrupt the table.
@@ -38,16 +38,16 @@
 //! stale dispatcher racing a re-queue can never clobber the table.
 
 use crate::client::{Client, ClientError, Reply};
-use crate::event_loop::{run_event_loop, EventLoopConfig, Service, ServiceReply};
+use crate::event_loop::{run_event_loop, EventLoopConfig, Service};
 use crate::job::JobSpec;
 use crate::protocol::{Request, Response};
-use crate::scheduler::{CompletionHook, FleetState, JobId, Outcome};
-use crate::server::classify_response;
+use crate::scheduler::{CompletionHook, JobId, JobState, Outcome, ServeSummary};
+use crate::server::ServerHandle;
 use kecss_obs::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Cached handles into the global registry (the fixed-name fleet series);
@@ -109,28 +109,10 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// Aggregate fleet counters, returned by [`Coordinator::run`] and rendered
-/// in the `FLEET` status text.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FleetSummary {
-    /// Jobs accepted into the queue.
-    pub submitted: u64,
-    /// Jobs that finished with a payload.
-    pub completed: u64,
-    /// Jobs that finished with an error (including exhausted retries).
-    pub failed: u64,
-    /// Jobs cancelled while queued.
-    pub cancelled: u64,
-    /// Submissions rejected with `BUSY`.
-    pub rejected: u64,
-    /// Worker-loss (or `BUSY`) re-queues across all jobs.
-    pub retries: u64,
-}
-
 /// One fleet job's table entry.
 struct FleetJob {
     spec: JobSpec,
-    state: FleetState,
+    state: JobState,
     /// The worker currently (or last) responsible, by id.
     worker: Option<String>,
     /// Bumped on every (re)assignment and every re-queue; a dispatch thread
@@ -147,8 +129,8 @@ struct FleetJob {
 }
 
 impl FleetJob {
-    /// Moves the job to `to`, enforcing the [`FleetState`] transition table.
-    fn transition(&mut self, to: FleetState) {
+    /// Moves the job to `to`, enforcing the [`JobState`] transition table.
+    fn transition(&mut self, to: JobState) {
         assert!(
             self.state.can_transition(to),
             "illegal fleet transition {:?} -> {to:?}",
@@ -186,11 +168,12 @@ struct FleetTable {
     /// and the job would sit queued until the next sweep tick.
     kicked: bool,
     /// Job ids that reached a terminal state since the last flush. Every
-    /// code path that drops the table lock after a terminal transition takes
-    /// this buffer and fires [`Shared::notify_terminals`] with it, which
-    /// wakes the readiness loop for push delivery and the shutdown drain.
+    /// code path that drops the table lock after a terminal transition does
+    /// so through [`Shared::release`], which fires the completion hook for
+    /// them: that wakes the readiness loop for push delivery and the
+    /// shutdown drain.
     pending_terminal: Vec<JobId>,
-    summary: FleetSummary,
+    summary: ServeSummary,
 }
 
 impl FleetTable {
@@ -209,7 +192,7 @@ impl FleetTable {
 
     /// Marks a job terminal: transition, store the outcome, maintain the
     /// in-flight count, counters and per-worker gauges.
-    fn finish(&mut self, id: JobId, to: FleetState, outcome: Outcome) {
+    fn finish(&mut self, id: JobId, to: JobState, outcome: Outcome) {
         let job = self.jobs.get_mut(&id).expect("finishing a known job");
         if let Some(worker) = job.worker.take() {
             if let Some(entry) = self.workers.get_mut(&worker) {
@@ -222,15 +205,15 @@ impl FleetTable {
         self.inflight -= 1;
         self.pending_terminal.push(id);
         match to {
-            FleetState::Done => {
+            JobState::Done => {
                 self.summary.completed += 1;
                 metrics().completed.inc();
             }
-            FleetState::Failed => {
+            JobState::Failed => {
                 self.summary.failed += 1;
                 metrics().failed.inc();
             }
-            FleetState::Cancelled => {
+            JobState::Cancelled => {
                 self.summary.cancelled += 1;
                 metrics().cancelled.inc();
             }
@@ -263,7 +246,7 @@ impl FleetTable {
                 let retries = job.retries;
                 // `finish` re-derives the worker/inflight bookkeeping; the
                 // worker was already detached above, so transition directly.
-                job.transition(FleetState::Failed);
+                job.transition(JobState::Failed);
                 job.outcome = Some(Outcome::Failed(format!(
                     "worker lost {retries} times (last: {cause}); retry budget {max_retries} spent"
                 )));
@@ -272,7 +255,7 @@ impl FleetTable {
                 self.summary.failed += 1;
                 metrics().failed.inc();
             } else {
-                job.transition(FleetState::Queued);
+                job.transition(JobState::Queued);
                 job.not_before = Instant::now();
             }
         }
@@ -289,8 +272,6 @@ fn worker_dispatched_counter(worker: &str) -> Arc<Counter> {
 
 struct Shared {
     table: Mutex<FleetTable>,
-    /// Signalled whenever a job reaches a terminal state (drain, waiters).
-    changed: Condvar,
     /// Signalled whenever dispatch-relevant state changes (submission,
     /// registration, re-queue).
     dispatch: Condvar,
@@ -303,11 +284,13 @@ struct Shared {
 }
 
 impl Shared {
-    /// Fires the loop's completion hook for every buffered terminal id.
-    /// Callers take [`FleetTable::pending_terminal`] while still holding the
-    /// table lock and call this after dropping it, so the hook (which takes
-    /// its own locks) never nests inside the table lock.
-    fn notify_terminals(&self, ids: Vec<JobId>) {
+    /// Drops the table lock, then fires the loop's completion hook for every
+    /// id that went terminal under it ([`FleetTable::pending_terminal`]) —
+    /// so the hook (which takes its own locks) never nests inside the table
+    /// lock.
+    fn release(&self, mut table: MutexGuard<'_, FleetTable>) {
+        let ids = std::mem::take(&mut table.pending_terminal);
+        drop(table);
         if ids.is_empty() {
             return;
         }
@@ -361,9 +344,8 @@ impl Coordinator {
                     closed: false,
                     kicked: false,
                     pending_terminal: Vec::new(),
-                    summary: FleetSummary::default(),
+                    summary: ServeSummary::default(),
                 }),
-                changed: Condvar::new(),
                 dispatch: Condvar::new(),
                 stop: AtomicBool::new(false),
                 completion_hook: Mutex::new(None),
@@ -399,17 +381,15 @@ impl Coordinator {
     /// # Panics
     ///
     /// Panics if the readiness poller cannot be constructed (fd exhaustion).
-    pub fn run(self) -> FleetSummary {
+    pub fn run(self) -> ServeSummary {
         let dispatcher = {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || dispatcher_loop(&shared))
         };
-        let service: Arc<dyn Service> = Arc::new(CoordinatorService {
-            shared: Arc::clone(&self.shared),
-        });
+        let service: Arc<dyn Service> = self.shared.clone();
         // The loop returns only once every admitted job is terminal (its
-        // drain condition asks `CoordinatorService::idle`); dispatch and
-        // retries keep running on the threads behind it meanwhile.
+        // drain condition asks `Service::inflight`); dispatch and retries
+        // keep running on the threads behind it meanwhile.
         run_event_loop(self.listener, &service, &self.loop_config)
             .expect("readiness loop failed to start");
         let summary = self
@@ -431,34 +411,13 @@ impl Coordinator {
     /// Spawns [`Coordinator::run`] on a background thread (tests, benches
     /// and the in-process harness).
     pub fn spawn(self) -> CoordinatorHandle {
-        let addr = self.local_addr();
-        let thread = std::thread::spawn(move || self.run());
-        CoordinatorHandle { addr, thread }
+        ServerHandle::spawn(self.local_addr(), move || self.run())
     }
 }
 
-/// A running background coordinator.
-pub struct CoordinatorHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<FleetSummary>,
-}
-
-impl CoordinatorHandle {
-    /// The coordinator's client-facing address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the coordinator to shut down (send `SHUTDOWN` first) and
-    /// returns its final counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinator thread panicked.
-    pub fn join(self) -> FleetSummary {
-        self.thread.join().expect("coordinator thread panicked")
-    }
-}
+/// A running background coordinator: the same handle as a server's, with the
+/// client-facing address.
+pub type CoordinatorHandle = ServerHandle;
 
 /// The dispatcher: one loop that (1) sweeps heartbeat-expired workers and
 /// re-queues their jobs, (2) assigns queued jobs to live workers
@@ -470,7 +429,6 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
         .clamp(Duration::from_millis(5), Duration::from_millis(250));
     loop {
         let mut dispatched: Vec<(JobId, u64, String, String, JobSpec)> = Vec::new();
-        let terminal_ids;
         {
             let mut table = shared.table.lock().expect("coordinator lock poisoned");
             if shared.stop.load(Ordering::SeqCst) {
@@ -496,7 +454,6 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
             }
             if !lost.is_empty() {
                 table.update_live_gauge();
-                shared.changed.notify_all();
             }
             // 2. Deterministic assignment over the sorted live-worker set.
             let live = table.live_workers();
@@ -504,14 +461,14 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
                 let ready: Vec<JobId> = table
                     .jobs
                     .iter()
-                    .filter(|(_, j)| j.state == FleetState::Queued && j.not_before <= now)
+                    .filter(|(_, j)| j.state == JobState::Queued && j.not_before <= now)
                     .map(|(id, _)| *id)
                     .collect();
                 for id in ready {
                     let (worker, worker_addr) =
                         &live[(splitmix64(id) % live.len() as u64) as usize];
                     let job = table.jobs.get_mut(&id).expect("job id just enumerated");
-                    job.transition(FleetState::Assigned);
+                    job.transition(JobState::Assigned);
                     job.worker = Some(worker.clone());
                     job.epoch += 1;
                     let epoch = job.epoch;
@@ -533,9 +490,8 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
             }
             // A sweep may have failed jobs past their retry budget: wake any
             // parked `RESULT WAIT` subscribers (and the drain) for them.
-            terminal_ids = std::mem::take(&mut table.pending_terminal);
+            shared.release(table);
         }
-        shared.notify_terminals(terminal_ids);
         for (id, epoch, worker, worker_addr, spec) in dispatched {
             let shared = Arc::clone(shared);
             std::thread::spawn(move || {
@@ -554,7 +510,7 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
                 table
                     .jobs
                     .values()
-                    .filter(|j| j.state == FleetState::Queued)
+                    .filter(|j| j.state == JobState::Queued)
                     .map(|j| {
                         j.not_before
                             .saturating_duration_since(now)
@@ -600,11 +556,8 @@ fn dispatch_job(
                 table.requeue_worker_jobs(worker, shared.config.max_retries, &cause);
                 table.update_live_gauge();
                 table.kicked = true;
-                let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                drop(table);
-                shared.changed.notify_all();
+                shared.release(table);
                 shared.dispatch.notify_all();
-                shared.notify_terminals(terminal_ids);
             }
         }
         Err(DispatchEnd::Busy) => {
@@ -617,7 +570,7 @@ fn dispatch_job(
                 let job = table.jobs.get_mut(&id).expect("epoch-checked job exists");
                 job.worker = None;
                 job.epoch += 1;
-                job.transition(FleetState::Queued);
+                job.transition(JobState::Queued);
                 // Back off briefly so a saturated worker is not hammered.
                 job.not_before = Instant::now() + Duration::from_millis(25);
             }
@@ -657,11 +610,8 @@ fn try_dispatch(
         Err(ClientError::Server(message)) => {
             let mut table = shared.table.lock().expect("coordinator lock poisoned");
             if table.jobs.get(&id).is_some_and(|j| j.epoch == epoch) {
-                table.finish(id, FleetState::Failed, Outcome::Failed(message));
-                let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                drop(table);
-                shared.changed.notify_all();
-                shared.notify_terminals(terminal_ids);
+                table.finish(id, JobState::Failed, Outcome::Failed(message));
+                shared.release(table);
             }
             return Ok(());
         }
@@ -672,15 +622,12 @@ fn try_dispatch(
     // it from — the next thing this connection hears is the terminal result.
     {
         let mut table = shared.table.lock().expect("coordinator lock poisoned");
-        let started = table
+        if let Some(job) = table
             .jobs
             .get_mut(&id)
-            .filter(|j| j.epoch == epoch && j.state == FleetState::Assigned)
-            .map(|job| job.transition(FleetState::Running))
-            .is_some();
-        drop(table);
-        if started {
-            shared.changed.notify_all();
+            .filter(|j| j.epoch == epoch && j.state == JobState::Assigned)
+        {
+            job.transition(JobState::Running);
         }
     }
     // `RESULT WAIT` answers exactly once, when the job is terminal: the read
@@ -698,14 +645,11 @@ fn try_dispatch(
                 // The machine records the RUNNING hop the push model no
                 // longer observes directly.
                 let job = table.jobs.get_mut(&id).expect("epoch-checked job exists");
-                if job.state == FleetState::Assigned {
-                    job.transition(FleetState::Running);
+                if job.state == JobState::Assigned {
+                    job.transition(JobState::Running);
                 }
-                table.finish(id, FleetState::Done, Outcome::Done(Arc::new(payload)));
-                let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                drop(table);
-                shared.changed.notify_all();
-                shared.notify_terminals(terminal_ids);
+                table.finish(id, JobState::Done, Outcome::Done(Arc::new(payload)));
+                shared.release(table);
             }
             Ok(())
         }
@@ -719,14 +663,11 @@ fn try_dispatch(
             let mut table = shared.table.lock().expect("coordinator lock poisoned");
             if table.jobs.get(&id).is_some_and(|j| j.epoch == epoch) {
                 let job = table.jobs.get_mut(&id).expect("epoch-checked job exists");
-                if job.state == FleetState::Assigned {
-                    job.transition(FleetState::Running);
+                if job.state == JobState::Assigned {
+                    job.transition(JobState::Running);
                 }
-                table.finish(id, FleetState::Failed, Outcome::Failed(failure));
-                let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                drop(table);
-                shared.changed.notify_all();
-                shared.notify_terminals(terminal_ids);
+                table.finish(id, JobState::Failed, Outcome::Failed(failure));
+                shared.release(table);
             }
             Ok(())
         }
@@ -737,47 +678,23 @@ fn try_dispatch(
     }
 }
 
-/// The fetched-once terminal reply for a fleet job, or `None` while it is in
-/// flight: `Done` is consumed into `Gone` on first fetch; `Failed` and
-/// `Cancelled` are repeatable diagnoses (unchanged since DESIGN.md §13).
-fn fleet_outcome_response(id: JobId, job: &mut FleetJob) -> Option<Response> {
-    let outcome = job.outcome.as_mut()?;
-    Some(match outcome {
-        Outcome::Done(_) => {
-            let Outcome::Done(payload) = std::mem::replace(outcome, Outcome::Gone) else {
-                unreachable!("matched Outcome::Done above")
-            };
-            Response::Result { id, payload }
-        }
-        Outcome::Gone => Response::Gone(id),
-        Outcome::Failed(message) => Response::Err(format!("job {id} failed: {message}")),
-        Outcome::Cancelled => Response::Err(kecss::Error::JobCancelled { job: id }.to_string()),
-    })
-}
+/// The coordinator's job-table primitives: the same verbs and reply bytes as
+/// the standalone scheduler (`event_loop::respond` maps both), with
+/// the fleet table behind them, plus the fleet verbs.
+impl Service for Shared {
+    fn requests_series(&self) -> &'static str {
+        "fleet_requests_total"
+    }
 
-/// The coordinator role behind the readiness loop: the coordinator-side
-/// analogue of the server's responder — same verbs, same reply bytes, same
-/// fetched-once `RESULT` semantics, with the fleet table instead of the
-/// scheduler behind it.
-struct CoordinatorService {
-    shared: Arc<Shared>,
-}
-
-impl CoordinatorService {
-    /// Admits one submission into the fleet table (or refuses it). With
-    /// `wait` the admitted reply also parks the connection for the terminal
-    /// push — refusals never subscribe.
-    fn admit(&self, spec: JobSpec, wait: bool) -> ServiceReply {
-        let shared = &self.shared;
-        let mut table = shared.table.lock().expect("coordinator lock poisoned");
+    fn admit(&self, spec: JobSpec) -> kecss::error::Result<JobId> {
+        let mut table = self.table.lock().expect("coordinator lock poisoned");
         if table.closed {
-            return ServiceReply::Line(Response::Err(
-                kecss::Error::ServiceShuttingDown.to_string(),
-            ));
+            return Err(kecss::Error::ServiceShuttingDown);
         }
-        if table.inflight >= shared.config.queue_depth {
+        let depth = self.config.queue_depth;
+        if table.inflight >= depth {
             table.summary.rejected += 1;
-            return ServiceReply::Line(Response::Busy(shared.config.queue_depth as u64));
+            return Err(kecss::Error::JobQueueFull { depth });
         }
         let id = table.next_id;
         table.next_id += 1;
@@ -788,7 +705,7 @@ impl CoordinatorService {
             id,
             FleetJob {
                 spec,
-                state: FleetState::Queued,
+                state: JobState::Queued,
                 worker: None,
                 epoch: 0,
                 retries: 0,
@@ -799,169 +716,91 @@ impl CoordinatorService {
         );
         table.kicked = true;
         drop(table);
-        shared.dispatch.notify_all();
-        let ack = Response::Ok(format!("{id} QUEUED"));
-        if wait {
-            ServiceReply::LineAndSubscribe(ack, id)
-        } else {
-            ServiceReply::Line(ack)
+        self.dispatch.notify_all();
+        Ok(id)
+    }
+
+    fn state(&self, id: JobId) -> Option<JobState> {
+        let table = self.table.lock().expect("coordinator lock poisoned");
+        table.jobs.get(&id).map(|job| job.state)
+    }
+
+    fn take_outcome(&self, id: JobId) -> Option<Outcome> {
+        let mut table = self.table.lock().expect("coordinator lock poisoned");
+        Some(table.jobs.get_mut(&id)?.outcome.as_mut()?.take())
+    }
+
+    fn cancel(&self, id: JobId) -> Result<(), Option<JobState>> {
+        let mut table = self.table.lock().expect("coordinator lock poisoned");
+        match table.jobs.get(&id).map(|job| job.state) {
+            Some(JobState::Queued) => {
+                table.finish(id, JobState::Cancelled, Outcome::Cancelled);
+                self.release(table);
+                Ok(())
+            }
+            state => Err(state),
         }
     }
-}
 
-impl Service for CoordinatorService {
-    fn respond(&self, request: Request) -> ServiceReply {
-        kecss_obs::counter_with("fleet_requests_total", &[("verb", request.verb())]).inc();
-        let shared = &self.shared;
-        let reply = match request {
-            Request::Submit(spec) => self.admit(spec, false),
-            Request::SubmitWait(spec) => self.admit(spec, true),
-            Request::Status(id) => {
-                let table = shared.table.lock().expect("coordinator lock poisoned");
-                match table.jobs.get(&id) {
-                    Some(job) => {
-                        ServiceReply::Line(Response::Ok(format!("{id} {}", job.state.wire_name())))
-                    }
-                    None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                }
-            }
-            Request::Result(id) => {
-                let mut table = shared.table.lock().expect("coordinator lock poisoned");
-                match table.jobs.get_mut(&id) {
-                    None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                    Some(job) => match fleet_outcome_response(id, job) {
-                        Some(response) => ServiceReply::Line(response),
-                        None => ServiceReply::Line(Response::Wait {
-                            id,
-                            state: job.state.wire_name(),
-                        }),
-                    },
-                }
-            }
-            Request::ResultWait(id) => {
-                let table = shared.table.lock().expect("coordinator lock poisoned");
-                match table.jobs.get(&id) {
-                    None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                    // Known job: park the connection. Already-terminal jobs
-                    // are answered by the subscribe-time re-check in the
-                    // loop.
-                    Some(_) => ServiceReply::Subscribe(id),
-                }
-            }
-            Request::Cancel(id) => {
-                let mut table = shared.table.lock().expect("coordinator lock poisoned");
-                match table.jobs.get(&id).map(|job| job.state) {
-                    None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                    Some(FleetState::Queued) => {
-                        table.finish(id, FleetState::Cancelled, Outcome::Cancelled);
-                        let terminal_ids = std::mem::take(&mut table.pending_terminal);
-                        drop(table);
-                        shared.changed.notify_all();
-                        shared.notify_terminals(terminal_ids);
-                        ServiceReply::Line(Response::Ok(format!("{id} CANCELLED")))
-                    }
-                    Some(state) if state.is_terminal() => {
-                        ServiceReply::Line(Response::Err(format!("job {id} already finished")))
-                    }
-                    Some(state) => ServiceReply::Line(Response::Err(format!(
-                        "job {id} is already {}",
-                        state.wire_name().to_lowercase()
-                    ))),
-                }
-            }
-            Request::Metrics => {
-                let text = kecss_obs::Registry::global().render();
-                ServiceReply::Line(Response::Metrics(Arc::new(text.into_bytes())))
-            }
-            Request::Heartbeat { worker, addr } => {
-                let mut table = shared.table.lock().expect("coordinator lock poisoned");
-                let now = Instant::now();
-                let registered = match table.workers.get_mut(&worker) {
-                    Some(entry) => {
-                        let was_dead = !entry.live;
-                        if kecss_obs::enabled() && !was_dead {
-                            if let Ok(ns) =
-                                u64::try_from(now.duration_since(entry.last_beat).as_nanos())
-                            {
-                                metrics().heartbeat_gap_ns.record(ns);
-                            }
-                        }
-                        entry.addr = addr;
-                        entry.last_beat = now;
-                        entry.live = true;
-                        was_dead
-                    }
-                    None => {
-                        table.workers.insert(
-                            worker.clone(),
-                            WorkerEntry {
-                                addr,
-                                last_beat: now,
-                                live: true,
-                                dispatched: 0,
-                                inflight: 0,
-                            },
-                        );
-                        true
-                    }
-                };
-                if registered {
-                    table.kicked = true;
-                }
-                table.update_live_gauge();
-                drop(table);
-                if registered {
-                    shared.dispatch.notify_all();
-                }
-                let word = if registered { "REGISTERED" } else { "ALIVE" };
-                ServiceReply::Line(Response::Ok(format!("{worker} {word}")))
-            }
-            Request::Fleet => {
-                let table = shared.table.lock().expect("coordinator lock poisoned");
-                let text = render_fleet(&table);
-                ServiceReply::Line(Response::Fleet(Arc::new(text.into_bytes())))
-            }
-            Request::Shutdown => {
-                shared
-                    .table
-                    .lock()
-                    .expect("coordinator lock poisoned")
-                    .closed = true;
-                ServiceReply::Shutdown(Response::Ok("SHUTDOWN".into()))
-            }
-        };
-        if let ServiceReply::Line(response)
-        | ServiceReply::Shutdown(response)
-        | ServiceReply::LineAndSubscribe(response, _) = &reply
-        {
-            classify_response(response);
-        }
-        reply
+    fn close(&self) {
+        self.table.lock().expect("coordinator lock poisoned").closed = true;
     }
 
-    fn result_reply(&self, id: JobId) -> Option<Response> {
-        let mut table = self.shared.table.lock().expect("coordinator lock poisoned");
-        let job = table.jobs.get_mut(&id)?;
-        let response = fleet_outcome_response(id, job)?;
-        classify_response(&response);
-        Some(response)
-    }
-
-    fn idle(&self) -> bool {
-        self.shared
-            .table
+    fn inflight(&self) -> usize {
+        self.table
             .lock()
             .expect("coordinator lock poisoned")
             .inflight
-            == 0
     }
 
     fn install_completion_hook(&self, hook: CompletionHook) {
         *self
-            .shared
             .completion_hook
             .lock()
             .expect("completion hook lock poisoned") = Some(hook);
+    }
+
+    fn fleet(&self, request: Request) -> Response {
+        let mut table = self.table.lock().expect("coordinator lock poisoned");
+        let Request::Heartbeat { worker, addr } = request else {
+            return Response::Fleet(Arc::new(render_fleet(&table).into_bytes()));
+        };
+        let now = Instant::now();
+        let registered = match table.workers.get_mut(&worker) {
+            Some(entry) => {
+                let was_dead = !entry.live;
+                if kecss_obs::enabled() && !was_dead {
+                    if let Ok(ns) = u64::try_from(now.duration_since(entry.last_beat).as_nanos()) {
+                        metrics().heartbeat_gap_ns.record(ns);
+                    }
+                }
+                entry.addr = addr;
+                entry.last_beat = now;
+                entry.live = true;
+                was_dead
+            }
+            None => {
+                table.workers.insert(
+                    worker.clone(),
+                    WorkerEntry {
+                        addr,
+                        last_beat: now,
+                        live: true,
+                        dispatched: 0,
+                        inflight: 0,
+                    },
+                );
+                true
+            }
+        };
+        table.kicked |= registered;
+        table.update_live_gauge();
+        drop(table);
+        if registered {
+            self.dispatch.notify_all();
+        }
+        let word = if registered { "REGISTERED" } else { "ALIVE" };
+        Response::Ok(format!("{worker} {word}"))
     }
 }
 
@@ -987,13 +826,13 @@ fn render_fleet(table: &FleetTable) -> String {
         "jobs submitted {} completed {} failed {} cancelled {} rejected {} retries {}\n",
         s.submitted, s.completed, s.failed, s.cancelled, s.rejected, s.retries
     ));
-    let count = |state: FleetState| table.jobs.values().filter(|j| j.state == state).count();
+    let count = |state: JobState| table.jobs.values().filter(|j| j.state == state).count();
     text.push_str(&format!(
         "inflight {} queued {} assigned {} running {}\n",
         table.inflight,
-        count(FleetState::Queued),
-        count(FleetState::Assigned),
-        count(FleetState::Running),
+        count(JobState::Queued),
+        count(JobState::Assigned),
+        count(JobState::Running),
     ));
     for (id, job) in table.jobs.iter().filter(|(_, j)| !j.state.is_terminal()) {
         text.push_str(&format!(
@@ -1004,20 +843,6 @@ fn render_fleet(table: &FleetTable) -> String {
         ));
     }
     text
-}
-
-/// Formats a one-line human summary (the CLI and the binary print it on
-/// exit, mirroring [`crate::server::summary_line`]).
-pub fn fleet_summary_line(summary: &FleetSummary) -> String {
-    format!(
-        "fleet served {} jobs: {} completed, {} failed, {} cancelled, {} rejected busy, {} retries",
-        summary.submitted,
-        summary.completed,
-        summary.failed,
-        summary.cancelled,
-        summary.rejected,
-        summary.retries
-    )
 }
 
 #[cfg(test)]
@@ -1043,11 +868,11 @@ mod tests {
             closed: false,
             kicked: false,
             pending_terminal: Vec::new(),
-            summary: FleetSummary {
+            summary: ServeSummary {
                 submitted: 2,
                 completed: 1,
                 retries: 1,
-                ..FleetSummary::default()
+                ..ServeSummary::default()
             },
         };
         table.workers.insert(
@@ -1081,7 +906,7 @@ mod tests {
             2,
             FleetJob {
                 spec,
-                state: FleetState::Running,
+                state: JobState::Running,
                 worker: Some("w1".into()),
                 epoch: 2,
                 retries: 1,
@@ -1127,7 +952,7 @@ mod tests {
             closed: false,
             kicked: false,
             pending_terminal: Vec::new(),
-            summary: FleetSummary::default(),
+            summary: ServeSummary::default(),
         };
         table.workers.insert(
             "w1".into(),
@@ -1143,7 +968,7 @@ mod tests {
             1,
             FleetJob {
                 spec,
-                state: FleetState::Running,
+                state: JobState::Running,
                 worker: Some("w1".into()),
                 epoch: 1,
                 retries: 0,
@@ -1154,15 +979,15 @@ mod tests {
         );
         // Budget 1: the first loss re-queues...
         table.requeue_worker_jobs("w1", 1, "test loss");
-        assert_eq!(table.jobs[&1].state, FleetState::Queued);
+        assert_eq!(table.jobs[&1].state, JobState::Queued);
         assert_eq!(table.jobs[&1].retries, 1);
         assert_eq!(table.summary.retries, 1);
         // ...the second exhausts the budget and fails the job.
         let job = table.jobs.get_mut(&1).unwrap();
-        job.transition(FleetState::Assigned);
+        job.transition(JobState::Assigned);
         job.worker = Some("w1".into());
         table.requeue_worker_jobs("w1", 1, "test loss again");
-        assert_eq!(table.jobs[&1].state, FleetState::Failed);
+        assert_eq!(table.jobs[&1].state, JobState::Failed);
         assert!(matches!(table.jobs[&1].outcome, Some(Outcome::Failed(_))));
         assert_eq!(table.inflight, 0);
         assert_eq!(table.summary.failed, 1);

@@ -3,14 +3,15 @@
 //! The previous front-end spawned an OS thread per accepted socket; this
 //! module replaces it with a single non-blocking loop over a level-triggered
 //! [`polling::Poller`] (epoll on Linux, portable `poll(2)` fallback). Every
-//! role — standalone server, worker, coordinator — serves on this loop; the
-//! role-specific request handling sits behind the [`Service`] trait.
+//! role — standalone server, worker, coordinator — serves on this loop, and
+//! every request is answered by the one verb→reply mapping `respond` over
+//! the role's job-table primitives (the [`Service`] trait).
 //!
 //! Per-connection state machine:
 //!
 //! ```text
 //!   Sniff ──("KGW1")──> Binary ──┐
-//!     │                          ├──> decode request ──> Service::respond
+//!     │                          ├──> decode request ──> respond(&dyn Service)
 //!     └──(anything else)> Text ──┘          │
 //!                                           ├─ Line(r)      -> queue reply bytes
 //!                                           ├─ Subscribe(id)-> park until completion
@@ -26,7 +27,7 @@
 //! when a job goes terminal the hook pushes the id onto a ready list and
 //! [`polling::Poller::notify`]s the loop, which delivers the reply — no code
 //! path anywhere polls for results. The hook-fires-before-subscribe race is
-//! closed by re-checking [`Service::result_reply`] immediately after
+//! closed by re-checking the job's terminal outcome immediately after
 //! registering a waiter.
 //!
 //! **Backpressure**: each connection's unsent reply bytes are bounded by
@@ -40,8 +41,9 @@
 //! text and binary framing both serialize the same [`Response`] values, so
 //! connection interleaving and wire mode cannot influence result bytes.
 
+use crate::job::JobSpec;
 use crate::protocol::{Request, Response};
-use crate::scheduler::{CompletionHook, JobId};
+use crate::scheduler::{CompletionHook, JobId, JobState, Outcome};
 use crate::wire;
 use polling::{Backend, Event, Interest, Poller};
 use std::collections::HashMap;
@@ -61,10 +63,10 @@ pub const MAX_REQUEST_LINE: usize = 1 << 20;
 const SHUTDOWN_FLUSH_CAP: Duration = Duration::from_secs(5);
 
 /// What the loop should do with a handled request.
-pub enum ServiceReply {
+pub(crate) enum ServiceReply {
     /// Answer immediately.
     Line(Response),
-    /// Park the request: push [`Service::result_reply`] when job `id`
+    /// Park the request: push the job's terminal reply when job `id`
     /// reaches a terminal state (`RESULT WAIT` on a live job).
     Subscribe(JobId),
     /// Answer immediately **and** park for job `id`'s terminal push (the
@@ -75,30 +77,176 @@ pub enum ServiceReply {
     Shutdown(Response),
 }
 
-/// The role-specific half of the front-end: the standalone server and the
-/// fleet coordinator each implement this over their job table. All methods
-/// are called from the event thread except the completion hook, which job
-/// workers fire; implementations count their own per-verb and per-reply
-/// metrics so text and binary connections are indistinguishable to
-/// observability.
+/// The role-specific half of the front-end: the job-table primitives the
+/// standalone [`crate::scheduler::Scheduler`] and the fleet coordinator both
+/// have. `respond` maps every verb onto them once, so both roles answer the
+/// same request with the same bytes. All methods are called from the event
+/// thread except the completion hook, which job workers fire.
 pub trait Service: Send + Sync {
-    /// Handles one request. Must not block on job completion — return
-    /// [`ServiceReply::Subscribe`] for that.
-    fn respond(&self, request: Request) -> ServiceReply;
+    /// The `verb`-labelled request counter series this role records
+    /// (`server_requests_total` or `fleet_requests_total`).
+    fn requests_series(&self) -> &'static str;
 
-    /// The pushed reply for a subscribed job, or `None` while the job is
-    /// still in flight. Called once per subscribed connection, in
-    /// subscription order; fetched-once result semantics apply (the first
-    /// caller takes the payload, later ones see `GONE`).
-    fn result_reply(&self, id: JobId) -> Option<Response>;
+    /// Admits one job into the table.
+    ///
+    /// # Errors
+    ///
+    /// [`kecss::Error::JobQueueFull`] at the in-flight bound (the reply is
+    /// `BUSY`), [`kecss::Error::ServiceShuttingDown`] after [`Service::close`].
+    fn admit(&self, spec: JobSpec) -> kecss::error::Result<JobId>;
 
-    /// True when no job is queued or running (the shutdown drain's exit
-    /// condition).
-    fn idle(&self) -> bool;
+    /// The job's lifecycle state, or `None` for an unknown id.
+    fn state(&self, id: JobId) -> Option<JobState>;
+
+    /// The job's terminal outcome, or `None` while it is in flight (or for
+    /// an unknown id). Fetched-once: a payload is evicted by the first call
+    /// and reads as [`Outcome::Gone`] afterwards.
+    fn take_outcome(&self, id: JobId) -> Option<Outcome>;
+
+    /// Cancels a queued job.
+    ///
+    /// # Errors
+    ///
+    /// The state that prevented cancellation, or `None` for an unknown id.
+    fn cancel(&self, id: JobId) -> Result<(), Option<JobState>>;
+
+    /// Refuses every later admission; the set of admitted jobs is final.
+    fn close(&self);
+
+    /// Jobs not yet terminal (the shutdown drain waits for zero).
+    fn inflight(&self) -> usize;
 
     /// Installs the completion hook the loop uses for push delivery and
     /// drain wakeups. Called once before the loop starts.
     fn install_completion_hook(&self, hook: CompletionHook);
+
+    /// Answers the fleet verbs (`HEARTBEAT`, `FLEET`). Only the coordinator
+    /// serves them; every other role (a worker too) refuses, so a client
+    /// pointed at the wrong role finds out immediately.
+    fn fleet(&self, _request: Request) -> Response {
+        Response::Err(
+            "not a fleet coordinator (HEARTBEAT/FLEET need `kecss serve --role coordinator`)"
+                .into(),
+        )
+    }
+}
+
+/// The one verb→reply mapping every role serves. Metrics are recorded out of
+/// band only — the reply bytes are exactly what they were before
+/// instrumentation (DESIGN.md §11) — and identically for text and binary
+/// connections.
+pub(crate) fn respond(service: &dyn Service, request: Request) -> ServiceReply {
+    kecss_obs::counter_with(service.requests_series(), &[("verb", request.verb())]).inc();
+    let unknown = |id: JobId| Response::Err(format!("unknown job {id}"));
+    let reply = match request {
+        Request::Submit(spec) => admit(service, spec, false),
+        Request::SubmitWait(spec) => admit(service, spec, true),
+        Request::Status(id) => ServiceReply::Line(match service.state(id) {
+            Some(state) => Response::Ok(format!("{id} {}", state.wire_name())),
+            None => unknown(id),
+        }),
+        Request::Result(id) => ServiceReply::Line(match service.state(id) {
+            None => unknown(id),
+            Some(state) => match service.take_outcome(id) {
+                Some(outcome) => outcome_response(id, outcome),
+                None => Response::Wait {
+                    id,
+                    state: state.wire_name(),
+                },
+            },
+        }),
+        // Known job: park the connection. Already-terminal jobs are answered
+        // by the subscribe-time re-check in the loop.
+        Request::ResultWait(id) => match service.state(id) {
+            Some(_) => ServiceReply::Subscribe(id),
+            None => ServiceReply::Line(unknown(id)),
+        },
+        Request::Cancel(id) => ServiceReply::Line(match service.cancel(id) {
+            Ok(()) => Response::Ok(format!("{id} CANCELLED")),
+            Err(None) => unknown(id),
+            Err(Some(state)) if state.is_terminal() => {
+                Response::Err(format!("job {id} already finished"))
+            }
+            Err(Some(state)) => Response::Err(format!(
+                "job {id} is already {}",
+                state.wire_name().to_lowercase()
+            )),
+        }),
+        // Framed with the byte length, then the text exposition verbatim (it
+        // is multi-line, so line framing alone cannot carry it).
+        Request::Metrics => {
+            let text = kecss_obs::Registry::global().render();
+            ServiceReply::Line(Response::Metrics(Arc::new(text.into_bytes())))
+        }
+        Request::Heartbeat { .. } | Request::Fleet => ServiceReply::Line(service.fleet(request)),
+        // Close the table first (authoritative, under the admission lock);
+        // the loop stops accepting and drains. Everything admitted up to the
+        // close is served; everything after is refused.
+        Request::Shutdown => {
+            service.close();
+            ServiceReply::Shutdown(Response::Ok("SHUTDOWN".into()))
+        }
+    };
+    if let ServiceReply::Line(response)
+    | ServiceReply::Shutdown(response)
+    | ServiceReply::LineAndSubscribe(response, _) = &reply
+    {
+        classify_response(response);
+    }
+    reply
+}
+
+/// Admits one submission. Admission control lives in the role's table,
+/// under its lock: after a SHUTDOWN closes it, admission fails with
+/// `ServiceShuttingDown`, and any job admitted before the close is visible to
+/// the drain. With `wait` (the wait-flagged binary `SUBMIT`) the ack also
+/// parks the connection for the terminal push — refusals never subscribe.
+fn admit(service: &dyn Service, spec: JobSpec, wait: bool) -> ServiceReply {
+    match service.admit(spec) {
+        Ok(id) if wait => ServiceReply::LineAndSubscribe(Response::Ok(format!("{id} QUEUED")), id),
+        Ok(id) => ServiceReply::Line(Response::Ok(format!("{id} QUEUED"))),
+        Err(kecss::Error::JobQueueFull { depth }) => {
+            ServiceReply::Line(Response::Busy(depth as u64))
+        }
+        Err(other) => ServiceReply::Line(Response::Err(other.to_string())),
+    }
+}
+
+/// The pushed reply for a subscribed job, or `None` while it is still in
+/// flight. Called once per subscribed connection, in subscription order, so
+/// fetched-once semantics apply (the first caller takes the payload, later
+/// ones see `GONE`).
+fn terminal_reply(service: &dyn Service, id: JobId) -> Option<Response> {
+    let response = outcome_response(id, service.take_outcome(id)?);
+    classify_response(&response);
+    Some(response)
+}
+
+/// Maps a fetched terminal outcome to its reply. `Failed` and `Cancelled`
+/// are repeatable diagnoses; `Done` reads as `GONE` after its one fetch.
+fn outcome_response(id: JobId, outcome: Outcome) -> Response {
+    match outcome {
+        Outcome::Done(payload) => Response::Result { id, payload },
+        Outcome::Gone => Response::Gone(id),
+        Outcome::Failed(message) => Response::Err(format!("job {id} failed: {message}")),
+        Outcome::Cancelled => Response::Err(kecss::Error::JobCancelled { job: id }.to_string()),
+    }
+}
+
+/// Counts the reply-classification metrics (`BUSY`/`GONE`/request-`ERR`) of
+/// immediate and pushed replies.
+fn classify_response(response: &Response) {
+    if !kecss_obs::enabled() {
+        return;
+    }
+    match response {
+        Response::Busy(_) => kecss_obs::counter("server_reply_busy_total").inc(),
+        Response::Gone(_) => kecss_obs::counter("server_reply_gone_total").inc(),
+        Response::Err(_) => {
+            kecss_obs::counter_with("server_reply_err_total", &[("cause", "request")]).inc();
+        }
+        _ => {}
+    }
 }
 
 /// Loop configuration (a subset of the role configs).
@@ -206,7 +354,9 @@ pub fn run_event_loop(
         // Exit: shutdown requested, every accepted job terminal, every
         // pushed reply delivered, and every queued byte flushed (or the
         // flush cap for stalled readers has lapsed).
-        if shutting_down && service.idle() && ready.lock().expect("ready list poisoned").is_empty()
+        if shutting_down
+            && service.inflight() == 0
+            && ready.lock().expect("ready list poisoned").is_empty()
         {
             let unflushed = conns.values().any(|c| c.pending_out() > 0);
             let expired = flush_deadline.is_some_and(|d| Instant::now() >= d);
@@ -274,11 +424,11 @@ pub fn run_event_loop(
             };
             for key in keys {
                 // A waiter whose connection died must not consume the
-                // payload: skip it before calling `result_reply`.
+                // payload: skip it before calling `terminal_reply`.
                 let Some(conn) = conns.get_mut(&key) else {
                     continue;
                 };
-                let Some(reply) = service.result_reply(id) else {
+                let Some(reply) = terminal_reply(service.as_ref(), id) else {
                     // Not terminal after all (cannot happen for hook-pushed
                     // ids, but a lost entry must not wedge the waiter).
                     waiters.entry(id).or_default().push(key);
@@ -533,7 +683,7 @@ fn dispatch(
     shutting_down: &mut bool,
     request: Request,
 ) {
-    match service.respond(request) {
+    match respond(service.as_ref(), request) {
         ServiceReply::Line(response) => queue_reply(conn, config, &response),
         ServiceReply::Subscribe(id) => subscribe(conn, service, config, waiters, key, id),
         ServiceReply::LineAndSubscribe(response, id) => {
@@ -565,7 +715,7 @@ fn subscribe(
     id: JobId,
 ) {
     waiters.entry(id).or_default().push(key);
-    if let Some(response) = service.result_reply(id) {
+    if let Some(response) = terminal_reply(service.as_ref(), id) {
         if let Some(keys) = waiters.get_mut(&id) {
             keys.retain(|k| *k != key);
             if keys.is_empty() {

@@ -12,7 +12,9 @@
 //!   records, negotiated per connection by a 4-byte preamble.
 //! * [`event_loop`] — the single-threaded readiness loop (DESIGN.md §14)
 //!   every role serves on: nonblocking sockets, per-connection state
-//!   machines, bounded write queues, push-on-complete `RESULT WAIT`.
+//!   machines, bounded write queues, push-on-complete `RESULT WAIT` — and the
+//!   one verb→reply mapping (`event_loop::respond`) every role answers
+//!   with, over the job-table primitives of [`event_loop::Service`].
 //! * [`instance`] — the `<family>:<n>` / `inline:` instance grammar and the
 //!   family-generation policy shared with the CLI.
 //! * [`job`] — job specs and the **pure job runner**: build instance → solve
@@ -20,17 +22,21 @@
 //!   what makes concurrent serving byte-deterministic (DESIGN.md §9).
 //! * [`scheduler`] — a bounded job table over [`kecss_runtime::JobPool`]:
 //!   at most `queue_depth` jobs in flight, `BUSY` beyond that, cancellation
-//!   of queued jobs, drain-on-shutdown.
-//! * [`server`] — the TCP accept loop (`kecss serve` / the `kecss_serve`
-//!   binary).
+//!   of queued jobs, drain-on-shutdown — and the one job lifecycle
+//!   ([`scheduler::JobState`], whose `ASSIGNED` state is fleet-only) and
+//!   exit summary ([`scheduler::ServeSummary`]) of every role.
+//! * [`server`] — the standalone role: the scheduler behind the readiness
+//!   loop.
 //! * [`client`] — a blocking client (`kecss submit`, tests, CI smoke).
 //! * [`coordinator`] / [`worker`] — the fleet control plane (DESIGN.md §13):
 //!   a coordinator keeps this same client-facing protocol and dispatches
-//!   jobs to registered workers over the same wire format, with an explicit
-//!   job lifecycle ([`scheduler::FleetState`]), heartbeat-based failure
-//!   detection, and retry-on-worker-loss — payloads stay byte-identical
-//!   regardless of fleet size or worker death because [`job::run`] is pure
-//!   in the spec.
+//!   jobs to registered workers over the same wire format, with
+//!   heartbeat-based failure detection and retry-on-worker-loss — payloads
+//!   stay byte-identical regardless of fleet size or worker death because
+//!   [`job::run`] is pure in the spec.
+//!
+//! `kecss serve --role standalone|coordinator|worker` (the `kecss_cli`
+//! crate) is the one entry point that starts any of the three roles.
 //!
 //! # Example (in-process, ephemeral port)
 //!
@@ -75,7 +81,7 @@ pub mod server;
 pub mod wire;
 pub mod worker;
 
-pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle, FleetSummary};
-pub use scheduler::{FleetState, JobId, JobStatus, Outcome, Scheduler, ServeSummary};
+pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
+pub use scheduler::{JobId, JobState, Outcome, Scheduler, ServeSummary};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use worker::{Worker, WorkerConfig, WorkerHandle};

@@ -69,88 +69,55 @@ struct JobTimes {
 /// A job's service-assigned identifier (dense, starting at 1).
 pub type JobId = u64;
 
-/// The lifecycle state of a job, as reported by `STATUS`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobStatus {
+/// The lifecycle state of a job, as reported by `STATUS` (DESIGN.md §9,
+/// §13). One table serves both roles: a standalone job moves
+/// `Queued → Running → Done/Failed` (or `Queued → Cancelled`) inside the
+/// [`Scheduler`]; a fleet job additionally passes through `Assigned` — the
+/// window between the coordinator picking a worker and that worker
+/// acknowledging the dispatch — because the chosen worker can die before (or
+/// while) running it. The two "loss" transitions back to `Queued` are what
+/// retry-on-worker-loss uses; they are legal **only** from the non-terminal
+/// assigned/running states, so a delivered result can never be
+/// un-delivered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum JobState {
     /// Accepted, waiting for a worker.
     Queued,
-    /// Claimed by a worker.
+    /// A live fleet worker was chosen; the dispatch is in flight (fleet
+    /// only).
+    Assigned,
+    /// Claimed by a worker and being solved.
     Running,
     /// Finished with a result payload.
     Done,
-    /// Finished with an error.
+    /// Finished with an error (a solver error, or a fleet job's retry budget
+    /// spent).
     Failed,
     /// Cancelled while still queued.
     Cancelled,
 }
 
-impl JobStatus {
-    /// The protocol's upper-case state word.
-    pub fn wire_name(&self) -> &'static str {
-        match self {
-            JobStatus::Queued => "QUEUED",
-            JobStatus::Running => "RUNNING",
-            JobStatus::Done => "DONE",
-            JobStatus::Failed => "FAILED",
-            JobStatus::Cancelled => "CANCELLED",
-        }
-    }
-
-    /// Whether the job can no longer change state.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            JobStatus::Done | JobStatus::Failed | JobStatus::Cancelled
-        )
-    }
-}
-
-/// The coordinator-side lifecycle of a fleet job (DESIGN.md §13).
-///
-/// This extends [`JobStatus`] with `Assigned` — the window between the
-/// coordinator picking a worker and that worker acknowledging the dispatch —
-/// because the fleet has a failure mode the standalone scheduler does not:
-/// the chosen worker can die before (or while) running the job. The two
-/// "loss" transitions back to `Queued` are what retry-on-worker-loss uses;
-/// they are legal **only** from the non-terminal assigned/running states, so
-/// a delivered result can never be un-delivered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FleetState {
-    /// Accepted by the coordinator, not yet assigned to a worker.
-    Queued,
-    /// A live worker was chosen; the dispatch is in flight.
-    Assigned,
-    /// The worker acknowledged the job and is solving it.
-    Running,
-    /// A result payload arrived from a worker.
-    Done,
-    /// The job failed (solver error, or the retry budget was exhausted).
-    Failed,
-    /// Cancelled while still queued.
-    Cancelled,
-}
-
-impl FleetState {
+impl JobState {
     /// Every state, for exhaustive transition-table tests.
-    pub const ALL: [FleetState; 6] = [
-        FleetState::Queued,
-        FleetState::Assigned,
-        FleetState::Running,
-        FleetState::Done,
-        FleetState::Failed,
-        FleetState::Cancelled,
+    pub const ALL: [JobState; 6] = [
+        JobState::Queued,
+        JobState::Assigned,
+        JobState::Running,
+        JobState::Done,
+        JobState::Failed,
+        JobState::Cancelled,
     ];
 
     /// The protocol's upper-case state word (`STATUS`/`WAIT` replies and the
     /// `FLEET` status text).
     pub fn wire_name(&self) -> &'static str {
         match self {
-            FleetState::Queued => "QUEUED",
-            FleetState::Assigned => "ASSIGNED",
-            FleetState::Running => "RUNNING",
-            FleetState::Done => "DONE",
-            FleetState::Failed => "FAILED",
-            FleetState::Cancelled => "CANCELLED",
+            JobState::Queued => "QUEUED",
+            JobState::Assigned => "ASSIGNED",
+            JobState::Running => "RUNNING",
+            JobState::Done => "DONE",
+            JobState::Failed => "FAILED",
+            JobState::Cancelled => "CANCELLED",
         }
     }
 
@@ -158,11 +125,12 @@ impl FleetState {
     pub fn is_terminal(&self) -> bool {
         matches!(
             self,
-            FleetState::Done | FleetState::Failed | FleetState::Cancelled
+            JobState::Done | JobState::Failed | JobState::Cancelled
         )
     }
 
-    /// The transition table. Exactly these moves are legal:
+    /// The fleet's transition table, which the coordinator enforces. Exactly
+    /// these moves are legal:
     ///
     /// ```text
     /// Queued   -> Assigned          (dispatcher picked a live worker)
@@ -177,9 +145,11 @@ impl FleetState {
     ///
     /// Everything else — including self-loops and any move out of a terminal
     /// state — is illegal; the coordinator panics rather than corrupt the
-    /// table.
-    pub fn can_transition(self, to: FleetState) -> bool {
-        use FleetState::*;
+    /// table. A standalone pool worker claims a job in one step,
+    /// `Queued -> Running`: the composition of the first two fleet hops, with
+    /// no dispatch in between that a lost worker could interrupt.
+    pub fn can_transition(self, to: JobState) -> bool {
+        use JobState::*;
         matches!(
             (self, to),
             (Queued, Assigned)
@@ -211,6 +181,18 @@ pub enum Outcome {
     Gone,
 }
 
+impl Outcome {
+    /// The fetched-once read: a payload is returned and replaced by
+    /// [`Outcome::Gone`] in place; `Failed` and `Cancelled` are small and kept
+    /// for repeat diagnosis.
+    pub(crate) fn take(&mut self) -> Outcome {
+        match self {
+            Outcome::Done(_) => std::mem::replace(self, Outcome::Gone),
+            other => other.clone(),
+        }
+    }
+}
+
 /// One slot of the job table.
 enum Slot {
     Queued(Box<JobFn>),
@@ -218,11 +200,25 @@ enum Slot {
     Finished(Outcome),
 }
 
+impl Slot {
+    fn state(&self) -> JobState {
+        match self {
+            Slot::Queued(_) => JobState::Queued,
+            Slot::Running => JobState::Running,
+            // An evicted payload is still a completed job.
+            Slot::Finished(Outcome::Done(_) | Outcome::Gone) => JobState::Done,
+            Slot::Finished(Outcome::Failed(_)) => JobState::Failed,
+            Slot::Finished(Outcome::Cancelled) => JobState::Cancelled,
+        }
+    }
+}
+
 /// The work a queued job will perform when a worker claims it.
 type JobFn = dyn FnOnce() -> Result<Vec<u8>, String> + Send;
 
-/// Aggregate counters, returned by [`Scheduler::summary`] and printed by the
-/// server on exit.
+/// Aggregate counters of one serving role: returned by
+/// [`Scheduler::summary`] and the coordinator, printed on exit by
+/// [`crate::server::summary_line`], and rendered in the `FLEET` status text.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeSummary {
     /// Jobs accepted into the queue.
@@ -235,6 +231,8 @@ pub struct ServeSummary {
     pub cancelled: u64,
     /// Submissions rejected with `BUSY`.
     pub rejected: u64,
+    /// Fleet re-queues after a worker loss (always 0 standalone).
+    pub retries: u64,
 }
 
 struct Table {
@@ -408,16 +406,9 @@ impl Scheduler {
     }
 
     /// The job's current lifecycle state, or `None` for an unknown id.
-    pub fn status(&self, id: JobId) -> Option<JobStatus> {
+    pub fn status(&self, id: JobId) -> Option<JobState> {
         let table = self.state.table.lock().expect("scheduler lock poisoned");
-        table.slots.get(&id).map(|slot| match slot {
-            Slot::Queued(_) => JobStatus::Queued,
-            Slot::Running => JobStatus::Running,
-            // An evicted payload is still a completed job.
-            Slot::Finished(Outcome::Done(_) | Outcome::Gone) => JobStatus::Done,
-            Slot::Finished(Outcome::Failed(_)) => JobStatus::Failed,
-            Slot::Finished(Outcome::Cancelled) => JobStatus::Cancelled,
-        })
+        table.slots.get(&id).map(Slot::state)
     }
 
     /// The job's terminal outcome, or `None` while it is still in flight (or
@@ -440,13 +431,7 @@ impl Scheduler {
     pub fn take_result(&self, id: JobId) -> Option<Outcome> {
         let mut table = self.state.table.lock().expect("scheduler lock poisoned");
         match table.slots.get_mut(&id) {
-            Some(Slot::Finished(outcome)) => {
-                let fetched = match outcome {
-                    Outcome::Done(_) => std::mem::replace(outcome, Outcome::Gone),
-                    other => other.clone(),
-                };
-                Some(fetched)
-            }
+            Some(Slot::Finished(outcome)) => Some(outcome.take()),
             _ => None,
         }
     }
@@ -475,11 +460,11 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// A human-readable message naming the state that prevented cancellation.
-    pub fn cancel(&self, id: JobId) -> Result<(), String> {
+    /// The state that prevented cancellation, or `None` for an unknown id.
+    pub fn cancel(&self, id: JobId) -> Result<(), Option<JobState>> {
         let mut table = self.state.table.lock().expect("scheduler lock poisoned");
         match table.slots.get_mut(&id) {
-            None => Err(format!("unknown job {id}")),
+            None => Err(None),
             Some(slot @ Slot::Queued(_)) => {
                 *slot = Slot::Finished(Outcome::Cancelled);
                 table.inflight -= 1;
@@ -492,8 +477,7 @@ impl Scheduler {
                 self.state.notify_terminal(id);
                 Ok(())
             }
-            Some(Slot::Running) => Err(format!("job {id} is already running")),
-            Some(Slot::Finished(_)) => Err(format!("job {id} already finished")),
+            Some(slot) => Err(Some(slot.state())),
         }
     }
 
@@ -636,7 +620,7 @@ mod tests {
     /// Spin-waits until the job has been claimed by a worker (submission and
     /// claiming race, so tests that assert on `Running` must wait for it).
     fn wait_until_running(scheduler: &Scheduler, id: JobId) {
-        while scheduler.status(id) != Some(JobStatus::Running) {
+        while scheduler.status(id) != Some(JobState::Running) {
             assert!(
                 !scheduler.status(id).unwrap().is_terminal(),
                 "job {id} finished before it could be observed running"
@@ -651,7 +635,7 @@ mod tests {
     /// out of a terminal state — is rejected.
     #[test]
     fn fleet_state_transition_table_is_exactly_the_documented_one() {
-        use FleetState::*;
+        use JobState::*;
         let legal = [
             (Queued, Assigned),
             (Queued, Cancelled),
@@ -662,8 +646,8 @@ mod tests {
             (Running, Failed),
             (Running, Queued),
         ];
-        for from in FleetState::ALL {
-            for to in FleetState::ALL {
+        for from in JobState::ALL {
+            for to in JobState::ALL {
                 let expected = legal.contains(&(from, to));
                 assert_eq!(
                     from.can_transition(to),
@@ -677,8 +661,8 @@ mod tests {
 
     #[test]
     fn fleet_terminal_states_admit_no_transitions() {
-        for from in FleetState::ALL.into_iter().filter(FleetState::is_terminal) {
-            for to in FleetState::ALL {
+        for from in JobState::ALL.into_iter().filter(JobState::is_terminal) {
+            for to in JobState::ALL {
                 assert!(
                     !from.can_transition(to),
                     "terminal {from:?} must not move to {to:?}"
@@ -686,38 +670,14 @@ mod tests {
             }
         }
         // And the terminal set is exactly {Done, Failed, Cancelled}.
-        let terminal: Vec<_> = FleetState::ALL
+        let terminal: Vec<_> = JobState::ALL
             .into_iter()
-            .filter(FleetState::is_terminal)
+            .filter(JobState::is_terminal)
             .collect();
         assert_eq!(
             terminal,
-            [FleetState::Done, FleetState::Failed, FleetState::Cancelled]
+            [JobState::Done, JobState::Failed, JobState::Cancelled]
         );
-    }
-
-    #[test]
-    fn fleet_state_wire_names_extend_job_status_wire_names() {
-        // Every standalone state keeps its wire word in the fleet; ASSIGNED
-        // is the single fleet-only addition clients may newly observe.
-        assert_eq!(
-            FleetState::Queued.wire_name(),
-            JobStatus::Queued.wire_name()
-        );
-        assert_eq!(
-            FleetState::Running.wire_name(),
-            JobStatus::Running.wire_name()
-        );
-        assert_eq!(FleetState::Done.wire_name(), JobStatus::Done.wire_name());
-        assert_eq!(
-            FleetState::Failed.wire_name(),
-            JobStatus::Failed.wire_name()
-        );
-        assert_eq!(
-            FleetState::Cancelled.wire_name(),
-            JobStatus::Cancelled.wire_name()
-        );
-        assert_eq!(FleetState::Assigned.wire_name(), "ASSIGNED");
     }
 
     #[test]
@@ -730,7 +690,7 @@ mod tests {
             Some(Outcome::Done(bytes)) => assert_eq!(bytes.as_slice(), b"payload"),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(scheduler.status(id), Some(JobStatus::Done));
+        assert_eq!(scheduler.status(id), Some(JobState::Done));
         assert_eq!(scheduler.status(999), None);
         let summary = scheduler.shutdown();
         assert_eq!(summary.submitted, 1);
@@ -767,7 +727,7 @@ mod tests {
         // queued and cancellable; `running` is not.
         wait_until_running(&scheduler, running);
         scheduler.cancel(queued).unwrap();
-        assert_eq!(scheduler.status(queued), Some(JobStatus::Cancelled));
+        assert_eq!(scheduler.status(queued), Some(JobState::Cancelled));
         assert_eq!(scheduler.wait(queued), Some(Outcome::Cancelled));
         assert!(scheduler.cancel(running).is_err());
         assert!(scheduler.cancel(42).is_err());
@@ -800,7 +760,7 @@ mod tests {
         // Every later fetch sees Gone; the job still reads as Done.
         assert_eq!(scheduler.take_result(id), Some(Outcome::Gone));
         assert_eq!(scheduler.outcome(id), Some(Outcome::Gone));
-        assert_eq!(scheduler.status(id), Some(JobStatus::Done));
+        assert_eq!(scheduler.status(id), Some(JobState::Done));
         // Failures are kept for repeat diagnosis.
         let failed = scheduler
             .submit_with(Box::new(|| Err("boom".into())))
@@ -867,7 +827,7 @@ mod tests {
             scheduler.wait(id),
             Some(Outcome::Failed("no such instance".into()))
         );
-        assert_eq!(scheduler.status(id), Some(JobStatus::Failed));
+        assert_eq!(scheduler.status(id), Some(JobState::Failed));
         assert_eq!(scheduler.shutdown().failed, 1);
     }
 

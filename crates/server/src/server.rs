@@ -9,9 +9,9 @@
 //! [`Server::run`] drains the in-flight jobs before returning — nothing that
 //! was accepted is ever dropped.
 
-use crate::event_loop::{run_event_loop, EventLoopConfig, Service, ServiceReply};
-use crate::protocol::{Request, Response};
-use crate::scheduler::{CompletionHook, JobId, Outcome, Scheduler, ServeSummary};
+use crate::event_loop::{run_event_loop, EventLoopConfig, Service};
+use crate::job::JobSpec;
+use crate::scheduler::{CompletionHook, JobId, JobState, Outcome, Scheduler, ServeSummary};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
@@ -54,7 +54,7 @@ impl Default for ServerConfig {
 pub struct Server {
     listener: TcpListener,
     scheduler: Arc<Scheduler>,
-    loop_config: EventLoopConfig,
+    pub(crate) loop_config: EventLoopConfig,
 }
 
 impl Server {
@@ -109,9 +109,7 @@ impl Server {
     ///
     /// Panics if the readiness poller cannot be constructed (fd exhaustion).
     pub fn run(self) -> ServeSummary {
-        let service: Arc<dyn Service> = Arc::new(ServerService {
-            scheduler: Arc::clone(&self.scheduler),
-        });
+        let service: Arc<dyn Service> = self.scheduler.clone();
         run_event_loop(self.listener, &service, &self.loop_config)
             .expect("readiness loop failed to start");
         // The loop exits only once the service is idle; the drain is a
@@ -123,19 +121,26 @@ impl Server {
     /// Spawns [`Server::run`] on a background thread (the form the tests and
     /// the in-process harness use).
     pub fn spawn(self) -> ServerHandle {
-        let addr = self.local_addr();
-        let thread = std::thread::spawn(move || self.run());
-        ServerHandle { addr, thread }
+        ServerHandle::spawn(self.local_addr(), move || self.run())
     }
 }
 
-/// A running background server.
+/// A running background server of any role.
 pub struct ServerHandle {
     addr: SocketAddr,
     thread: std::thread::JoinHandle<ServeSummary>,
 }
 
 impl ServerHandle {
+    /// Runs a bound role's blocking `run` on a background thread.
+    pub(crate) fn spawn(
+        addr: SocketAddr,
+        run: impl FnOnce() -> ServeSummary + Send + 'static,
+    ) -> ServerHandle {
+        let thread = std::thread::spawn(run);
+        ServerHandle { addr, thread }
+    }
+
     /// The server's bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -152,152 +157,51 @@ impl ServerHandle {
     }
 }
 
-/// The standalone role behind the readiness loop: scheduler-backed request
-/// handling. Metrics are recorded out-of-band only: the response bytes for
-/// every job-facing verb are exactly what they were before instrumentation
-/// (DESIGN.md §11), and per-verb counters fire identically for text and
-/// binary connections.
-struct ServerService {
-    scheduler: Arc<Scheduler>,
-}
-
-impl ServerService {
-    /// Maps a fetched terminal outcome to its reply.
-    fn outcome_response(id: JobId, outcome: Outcome) -> Response {
-        match outcome {
-            Outcome::Done(payload) => Response::Result { id, payload },
-            Outcome::Gone => Response::Gone(id),
-            Outcome::Failed(message) => Response::Err(format!("job {id} failed: {message}")),
-            Outcome::Cancelled => Response::Err(kecss::Error::JobCancelled { job: id }.to_string()),
-        }
-    }
-}
-
-/// Counts the reply-classification metrics (`BUSY`/`GONE`/request-`ERR`),
-/// shared by immediate and pushed replies of both roles.
-pub(crate) fn classify_response(response: &Response) {
-    if !kecss_obs::enabled() {
-        return;
-    }
-    match response {
-        Response::Busy(_) => kecss_obs::counter("server_reply_busy_total").inc(),
-        Response::Gone(_) => kecss_obs::counter("server_reply_gone_total").inc(),
-        Response::Err(_) => {
-            kecss_obs::counter_with("server_reply_err_total", &[("cause", "request")]).inc();
-        }
-        _ => {}
-    }
-}
-
-impl Service for ServerService {
-    fn respond(&self, request: Request) -> ServiceReply {
-        kecss_obs::counter_with("server_requests_total", &[("verb", request.verb())]).inc();
-        let reply = match request {
-            // Admission control lives in the scheduler, under its table
-            // lock: after a SHUTDOWN closes the scheduler, this returns
-            // `ServiceShuttingDown`, and any submission admitted before the
-            // close is visible to the shutdown drain. The wait-flagged
-            // variant additionally parks the connection for the terminal
-            // push — but only when the job was actually admitted.
-            Request::Submit(spec) => match self.scheduler.submit(spec) {
-                Ok(id) => ServiceReply::Line(Response::Ok(format!("{id} QUEUED"))),
-                Err(kecss::Error::JobQueueFull { depth }) => {
-                    ServiceReply::Line(Response::Busy(depth as u64))
-                }
-                Err(other) => ServiceReply::Line(Response::Err(other.to_string())),
-            },
-            Request::SubmitWait(spec) => match self.scheduler.submit(spec) {
-                Ok(id) => ServiceReply::LineAndSubscribe(Response::Ok(format!("{id} QUEUED")), id),
-                Err(kecss::Error::JobQueueFull { depth }) => {
-                    ServiceReply::Line(Response::Busy(depth as u64))
-                }
-                Err(other) => ServiceReply::Line(Response::Err(other.to_string())),
-            },
-            Request::Status(id) => match self.scheduler.status(id) {
-                Some(status) => {
-                    ServiceReply::Line(Response::Ok(format!("{id} {}", status.wire_name())))
-                }
-                None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-            },
-            Request::Result(id) => {
-                match (self.scheduler.status(id), self.scheduler.take_result(id)) {
-                    (None, _) => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                    (Some(status), None) => ServiceReply::Line(Response::Wait {
-                        id,
-                        state: status.wire_name(),
-                    }),
-                    // Fetched-once: `take_result` dropped the payload from
-                    // the table; a repeat RESULT for this id answers GONE.
-                    (_, Some(outcome)) => {
-                        ServiceReply::Line(ServerService::outcome_response(id, outcome))
-                    }
-                }
-            }
-            Request::ResultWait(id) => match self.scheduler.status(id) {
-                None => ServiceReply::Line(Response::Err(format!("unknown job {id}"))),
-                // Known job: park the connection. Already-terminal jobs are
-                // answered by the subscribe-time re-check in the loop.
-                Some(_) => ServiceReply::Subscribe(id),
-            },
-            Request::Cancel(id) => match self.scheduler.cancel(id) {
-                Ok(()) => ServiceReply::Line(Response::Ok(format!("{id} CANCELLED"))),
-                Err(message) => ServiceReply::Line(Response::Err(message)),
-            },
-            Request::Metrics => {
-                // Framed with the byte length, then the text exposition
-                // verbatim (it is multi-line, so line framing alone cannot
-                // carry it).
-                let text = kecss_obs::Registry::global().render();
-                ServiceReply::Line(Response::Metrics(Arc::new(text.into_bytes())))
-            }
-            // Fleet verbs are the coordinator's alone: a standalone server
-            // (and a worker, which serves this same path) refuses them, so a
-            // client pointed at the wrong role finds out immediately.
-            Request::Heartbeat { .. } | Request::Fleet => ServiceReply::Line(Response::Err(
-                "not a fleet coordinator (HEARTBEAT/FLEET need `kecss serve --role coordinator`)"
-                    .into(),
-            )),
-            Request::Shutdown => {
-                // Close the scheduler first (authoritative, under the
-                // admission lock); the loop stops accepting and drains.
-                // Everything admitted up to the close is served; everything
-                // after is refused.
-                self.scheduler.close();
-                ServiceReply::Shutdown(Response::Ok("SHUTDOWN".into()))
-            }
-        };
-        if let ServiceReply::Line(response)
-        | ServiceReply::Shutdown(response)
-        | ServiceReply::LineAndSubscribe(response, _) = &reply
-        {
-            classify_response(response);
-        }
-        reply
+/// The standalone role's job-table primitives, straight from the scheduler.
+impl Service for Scheduler {
+    fn requests_series(&self) -> &'static str {
+        "server_requests_total"
     }
 
-    fn result_reply(&self, id: JobId) -> Option<Response> {
-        if !self.scheduler.status(id)?.is_terminal() {
-            return None;
-        }
-        let outcome = self.scheduler.take_result(id)?;
-        let response = ServerService::outcome_response(id, outcome);
-        classify_response(&response);
-        Some(response)
+    fn admit(&self, spec: JobSpec) -> kecss::error::Result<JobId> {
+        self.submit(spec)
     }
 
-    fn idle(&self) -> bool {
-        self.scheduler.inflight() == 0
+    fn state(&self, id: JobId) -> Option<JobState> {
+        self.status(id)
+    }
+
+    fn take_outcome(&self, id: JobId) -> Option<Outcome> {
+        self.take_result(id)
+    }
+
+    fn cancel(&self, id: JobId) -> Result<(), Option<JobState>> {
+        Scheduler::cancel(self, id)
+    }
+
+    fn close(&self) {
+        Scheduler::close(self);
+    }
+
+    fn inflight(&self) -> usize {
+        Scheduler::inflight(self)
     }
 
     fn install_completion_hook(&self, hook: CompletionHook) {
-        self.scheduler.set_completion_hook(hook);
+        self.set_completion_hook(hook);
     }
 }
 
-/// Formats a one-line human summary (used by the CLI and the binary).
-pub fn summary_line(summary: &ServeSummary) -> String {
-    format!(
+/// Formats the one-line exit summary both the standalone and the worker role
+/// print; a coordinator's (`fleet`) line adds its retries.
+pub fn summary_line(summary: &ServeSummary, fleet: bool) -> String {
+    let line = format!(
         "served {} jobs: {} completed, {} failed, {} cancelled, {} rejected busy",
         summary.submitted, summary.completed, summary.failed, summary.cancelled, summary.rejected
-    )
+    );
+    if fleet {
+        format!("fleet {line}, {} retries", summary.retries)
+    } else {
+        line
+    }
 }

@@ -13,7 +13,7 @@
 
 use crate::client::Client;
 use crate::scheduler::ServeSummary;
-use crate::server::{Server, ServerConfig};
+use crate::server::{Server, ServerConfig, ServerHandle};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -47,6 +47,9 @@ pub struct WorkerConfig {
     pub advertise: String,
     /// Per-connection request limit (0 = unlimited), as on the server.
     pub max_requests_per_conn: usize,
+    /// Per-connection unsent-reply bound (the slow-client policy), as on the
+    /// server.
+    pub write_queue_limit: usize,
 }
 
 impl Default for WorkerConfig {
@@ -60,6 +63,7 @@ impl Default for WorkerConfig {
             heartbeat_interval: Duration::from_millis(500),
             advertise: String::new(),
             max_requests_per_conn: 0,
+            write_queue_limit: 16 << 20,
         }
     }
 }
@@ -85,7 +89,7 @@ impl Worker {
             threads: config.threads,
             queue_depth: config.queue_depth,
             max_requests_per_conn: config.max_requests_per_conn,
-            ..ServerConfig::default()
+            write_queue_limit: config.write_queue_limit,
         })?;
         let worker_id = if config.worker_id.is_empty() {
             format!("worker-{}", server.local_addr().port())
@@ -139,28 +143,22 @@ impl Worker {
     /// Spawns [`Worker::run`] on a background thread (tests, benches and the
     /// in-process harness).
     pub fn spawn(self) -> WorkerHandle {
-        let addr = self.local_addr();
         let worker_id = self.worker_id.clone();
-        let thread = std::thread::spawn(move || self.run());
-        WorkerHandle {
-            addr,
-            worker_id,
-            thread,
-        }
+        let server = ServerHandle::spawn(self.local_addr(), move || self.run());
+        WorkerHandle { server, worker_id }
     }
 }
 
 /// A running background worker.
 pub struct WorkerHandle {
-    addr: SocketAddr,
+    server: ServerHandle,
     worker_id: String,
-    thread: std::thread::JoinHandle<ServeSummary>,
 }
 
 impl WorkerHandle {
     /// The worker's job-serving address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// The worker id it registers under.
@@ -175,7 +173,7 @@ impl WorkerHandle {
     ///
     /// Panics if the worker thread panicked.
     pub fn join(self) -> ServeSummary {
-        self.thread.join().expect("worker thread panicked")
+        self.server.join()
     }
 }
 
@@ -217,5 +215,20 @@ fn heartbeat_loop(
             std::thread::sleep(slice);
             remaining = remaining.saturating_sub(slice);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bound_worker_loop_carries_the_write_queue_limit() {
+        let worker = Worker::bind(&WorkerConfig {
+            write_queue_limit: 4096,
+            ..WorkerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        assert_eq!(worker.server.loop_config.write_queue_limit, 4096);
     }
 }

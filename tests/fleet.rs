@@ -13,11 +13,12 @@ use kecss_runtime::Executor;
 use kecss_server::client::{Client, ClientError};
 use kecss_server::coordinator::{Coordinator, CoordinatorConfig};
 use kecss_server::protocol::Request;
+use kecss_server::server::{Server, ServerConfig};
 use kecss_server::worker::{Worker, WorkerConfig};
 use kecss_server::CoordinatorHandle;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 const POLL: Duration = Duration::from_millis(20);
@@ -302,6 +303,102 @@ fn cancelling_a_queued_fleet_job_works_like_the_standalone_server() {
     let summary = coordinator.join();
     assert_eq!(summary.cancelled, 1);
     assert_eq!(summary.completed, 0);
+}
+
+/// Sends one raw text request line and returns the raw reply bytes: the
+/// reply line, plus the payload a `RESULT <id> <len>` line announces.
+fn raw_request(reader: &mut BufReader<TcpStream>, line: &str) -> Vec<u8> {
+    reader
+        .get_mut()
+        .write_all(format!("{line}\n").as_bytes())
+        .unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    let mut bytes = reply.clone().into_bytes();
+    if let Some(len) = reply.strip_prefix("RESULT ").and_then(|rest| {
+        let (_id, len) = rest.trim_end().split_once(' ')?;
+        len.parse::<usize>().ok()
+    }) {
+        let mut payload = vec![0; len];
+        reader.read_exact(&mut payload).unwrap();
+        bytes.extend_from_slice(&payload);
+    }
+    bytes
+}
+
+/// The request script both roles answer: unknown ids, a finished job fetched
+/// twice and cancelled, and a failing job. Returns every reply, in order.
+fn parity_replies(addr: &str) -> Vec<Vec<u8>> {
+    let mut conn = BufReader::new(TcpStream::connect(addr).unwrap());
+    let mut replies = Vec::new();
+    let mut send = |line: &str| replies.push(raw_request(&mut conn, line));
+    send("STATUS 99");
+    send("RESULT 99");
+    send("CANCEL 99");
+    send("RESULT WAIT 99");
+    send("SUBMIT ring:20 2 2ecss auto 1");
+    // Wait for the job outside the recorded script: the intermediate states a
+    // poll observes depend on timing (and ASSIGNED is fleet-only).
+    let mut probe = BufReader::new(TcpStream::connect(addr).unwrap());
+    while raw_request(&mut probe, "STATUS 1") != b"OK 1 DONE\n" {
+        std::thread::sleep(POLL);
+    }
+    send("STATUS 1");
+    send("RESULT 1");
+    send("RESULT 1");
+    send("CANCEL 1");
+    send("SUBMIT inline:4:0-1-1,1-2-1,2-3-1,3-0-1 3 kecss auto 1");
+    send("RESULT WAIT 2");
+    send("RESULT 2");
+    send("CANCEL 2");
+    send("STATUS 2");
+    send("SHUTDOWN");
+    replies
+}
+
+#[test]
+fn standalone_and_coordinator_answer_the_same_bytes() {
+    let server = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServerConfig::default()
+    })
+    .expect("bind an ephemeral port");
+    let server = server.spawn();
+    let server_addr = server.addr().to_string();
+
+    // The fleet verbs are refused by a standalone server.
+    let mut conn = BufReader::new(TcpStream::connect(&server_addr).unwrap());
+    for line in ["HEARTBEAT w1 127.0.0.1:9", "FLEET"] {
+        let reply = String::from_utf8(raw_request(&mut conn, line)).unwrap();
+        assert!(
+            reply.starts_with("ERR not a fleet coordinator"),
+            "{line}: {reply}"
+        );
+    }
+    let solo = parity_replies(&server_addr);
+    server.join();
+
+    let coordinator = spawn_coordinator(16, Duration::from_secs(3));
+    let addr = coordinator.addr().to_string();
+    let worker = spawn_worker(&addr, "parity", 1, 16);
+    wait_workers(&addr, 1);
+    let fleet = parity_replies(&addr);
+    coordinator.join();
+    stop_worker(worker);
+
+    let text = |replies: &[Vec<u8>]| -> Vec<String> {
+        replies
+            .iter()
+            .map(|r| String::from_utf8_lossy(r).into_owned())
+            .collect()
+    };
+    assert_eq!(text(&solo), text(&fleet));
+    assert!(text(&solo)[0].starts_with("ERR unknown job 99"), "{solo:?}");
+    assert!(text(&solo)[7].starts_with("GONE 1"), "{solo:?}");
+    assert!(
+        text(&solo)[10].starts_with("ERR job 2 failed: "),
+        "{solo:?}"
+    );
 }
 
 /// Runs `lines` through a fleet of `workers` workers and returns the payloads
