@@ -11,19 +11,18 @@
 //! * `exact` — only defined for sizes `1..=3`, i.e. `k = 4`;
 //! * `label` — the general XOR-zero subset enumerator, deterministically
 //!   complete but with `O(binom(m, k-2))` candidate generation (an enlarged
-//!   budget is used here so the table can show the cost growing);
-//! * `contract` — Karger-style contraction with the default trial count.
+//!   budget is used here so the table can show the cost growing).
 //!
 //! Strategies that produce a result must agree cut-for-cut (they are all
 //! exactly verified); the table reports wall time, candidate counts and the
-//! agreement check, then Criterion times one representative configuration.
+//! agreement check. The randomized `ks` strategy has its own series and
+//! Criterion timing in E16, so this bench only prints its table.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use graphs::generators;
-use kecss::cuts::{ContractEnumerator, Cut, CutEnumerator, ExactEnumerator, LabelEnumerator};
+use kecss::cuts::{Cut, CutEnumerator, ExactEnumerator, LabelEnumerator};
 use kecss_bench::table::Table;
 use kecss_runtime::Executor;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The label budget used for the table: large enough that `label` completes
 /// everywhere except the genuinely explosive hypercube `k = 8` row, which
@@ -49,7 +48,7 @@ fn run_strategy(
     }
 }
 
-fn print_series() {
+fn main() {
     let mut table = Table::new([
         "family", "k", "size", "n", "m", "strategy", "wall ms", "cuts", "agree",
     ]);
@@ -62,12 +61,8 @@ fn print_series() {
         for (family, g) in instances {
             let exact = ExactEnumerator;
             let label = LabelEnumerator::with_budget(TABLE_LABEL_BUDGET);
-            let contract = ContractEnumerator::default();
-            let strategies: [(&str, &dyn CutEnumerator); 3] = [
-                ("exact", &exact),
-                ("label", &label),
-                ("contract", &contract),
-            ];
+            let strategies: [(&str, &dyn CutEnumerator); 2] =
+                [("exact", &exact), ("label", &label)];
             let mut reference: Option<Vec<Cut>> = None;
             for (name, enumerator) in strategies {
                 let (ms, cuts, result) = run_strategy(name, enumerator, &g, size);
@@ -98,26 +93,3 @@ fn print_series() {
     }
     table.print("E11: cut-enumerator strategies at k in {4, 6, 8} (cuts of size k-1)");
 }
-
-fn bench(c: &mut Criterion) {
-    print_series();
-    // Representative configuration: the contraction enumerator on Q_5
-    // (size-5 cuts, the first size the exact specializations cannot reach).
-    let g = generators::hypercube(5, 1);
-    let h = g.full_edge_set();
-    c.bench_function("e11/contract_q5_size5", |b| {
-        b.iter(|| {
-            ContractEnumerator::default()
-                .cuts(&g, &h, 5, 0, &Executor::Sequential)
-                .unwrap()
-                .len()
-        })
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10).measurement_time(Duration::from_secs(5)).warm_up_time(Duration::from_millis(500));
-    targets = bench
-}
-criterion_main!(benches);

@@ -1,39 +1,29 @@
-//! E16 — recursive Karger–Stein contraction vs the flat baseline
-//! (DESIGN.md §12).
+//! E16 — the recursive Karger–Stein cut enumerator (DESIGN.md §12).
 //!
-//! PR 8 replaces the flat Karger scheme (`Θ(n² log n)` independent trials,
-//! each contracting from the full graph) with the recursive Karger–Stein
-//! enumerator: contract to `⌈n/√2⌉ + 1`, recurse twice, share the expensive
-//! shallow contraction prefix. This bench isolates the algorithmic gain on
-//! the `Aug_k` enumeration workloads that dominate high-`k` solves:
+//! `ks` contracts to `⌈n/√2⌉ + 1`, recurses twice and shares the expensive
+//! shallow contraction prefix. This bench times it on the `Aug_k`
+//! enumeration workloads that dominate high-`k` solves:
 //!
-//! * `Q_5` size-5 — the e11 headline workload (kept unchanged there for
-//!   trajectory continuity; the ≥ 5× target of ISSUE 8 is measured here);
-//! * `harary(7, 16)` size-7 and `Q_8` size-8 — the `k = 8` regime, where
-//!   the flat scheme needs seconds per enumeration;
+//! * `Q_5` size-5 — the first size beyond the exact specializations;
+//! * `harary(7, 16)` size-7 and `Q_8` size-8 — the `k = 8` regime;
 //! * an end-to-end `k = 8` solve of `Q_8` through the default `auto` policy
-//!   (label budget trips → Karger–Stein fallback), the pipeline the ISSUE
-//!   requires under 10 s.
+//!   (label budget trips → Karger–Stein fallback).
 //!
-//! Both enumerators are exactly verified, so wherever both complete they
-//! must agree cut-for-cut; the table asserts it. Criterion then times the
-//! flat and recursive enumerators on the `Q_5` workload back to back.
+//! Every cut is exactly verified, so wherever the deterministically complete
+//! `label` enumerator finishes within E11's table budget the two must agree
+//! cut-for-cut; the table asserts it and shows `-` where `label` overflows.
+//! Criterion then times `ks` on the `Q_5` workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use graphs::generators;
-use kecss::cuts::{ContractEnumerator, Cut, CutEnumerator, KargerSteinEnumerator};
+use kecss::cuts::{CutEnumerator, KargerSteinEnumerator, LabelEnumerator};
 use kecss_bench::table::Table;
 use kecss_runtime::Executor;
 use std::time::{Duration, Instant};
 
-fn timed_cuts(enumerator: &dyn CutEnumerator, g: &graphs::Graph, size: usize) -> (u128, Vec<Cut>) {
-    let h = g.full_edge_set();
-    let start = Instant::now();
-    let cuts = enumerator
-        .cuts(g, &h, size, 0, &Executor::Sequential)
-        .expect("enumeration succeeds");
-    (start.elapsed().as_millis(), cuts)
-}
+/// The label budget of E11's table: the agreement oracle runs only where
+/// `label` completes within it.
+const TABLE_LABEL_BUDGET: u64 = 100_000_000;
 
 fn print_series() {
     let mut table = Table::new([
@@ -45,28 +35,39 @@ fn print_series() {
         ("Q_8", generators::hypercube(8, 1), 8),
     ];
     for (name, g, size) in workloads {
-        let (flat_ms, flat) = timed_cuts(&ContractEnumerator::default(), &g, size);
-        let (ks_ms, ks) = timed_cuts(&KargerSteinEnumerator::default(), &g, size);
-        assert_eq!(
-            flat, ks,
-            "{name}: flat and ks must agree after verification"
-        );
-        for (strategy, ms, cuts) in [("contract", flat_ms, &flat), ("ks", ks_ms, &ks)] {
-            table.push([
-                name.to_string(),
-                g.n().to_string(),
-                g.m().to_string(),
-                size.to_string(),
-                strategy.to_string(),
-                ms.to_string(),
-                cuts.len().to_string(),
-                "yes".to_string(),
-            ]);
-        }
+        let h = g.full_edge_set();
+        let start = Instant::now();
+        let ks = KargerSteinEnumerator::default()
+            .cuts(&g, &h, size, 0, &Executor::Sequential)
+            .expect("enumeration succeeds");
+        let ks_ms = start.elapsed().as_millis();
+        let label = LabelEnumerator::with_budget(TABLE_LABEL_BUDGET);
+        let label = label.cuts(&g, &h, size, 0, &Executor::Sequential);
+        let agree = match label {
+            Ok(label) => {
+                assert_eq!(
+                    ks, label,
+                    "{name}: ks and label must agree after verification"
+                );
+                "yes"
+            }
+            Err(kecss::Error::CandidateOverflow { .. }) => "-",
+            Err(e) => panic!("{name}: unexpected label error: {e}"),
+        };
+        table.push([
+            name.to_string(),
+            g.n().to_string(),
+            g.m().to_string(),
+            size.to_string(),
+            "ks".to_string(),
+            ks_ms.to_string(),
+            ks.len().to_string(),
+            agree.to_string(),
+        ]);
     }
 
     // End-to-end k = 8 solve through the default auto policy (exact → label
-    // → Karger–Stein fallback), the ISSUE 8 single-digit-seconds target.
+    // → Karger–Stein fallback).
     use rand::SeedableRng;
     let g = generators::hypercube(8, 1);
     let start = Instant::now();
@@ -84,24 +85,13 @@ fn print_series() {
         sol.subgraph.len().to_string(),
         "-".to_string(),
     ]);
-    table.print("E16: flat contraction vs recursive Karger-Stein (and the k=8 end-to-end solve)");
+    table.print("E16: recursive Karger-Stein enumeration (and the k=8 end-to-end solve)");
 }
 
 fn bench(c: &mut Criterion) {
     print_series();
     let g = generators::hypercube(5, 1);
     let h = g.full_edge_set();
-    // The pooled flat baseline and the recursive enumerator on the same
-    // workload e11 times (`e11/contract_q5_size5` stays unchanged for
-    // trajectory continuity).
-    c.bench_function("e16/contract_q5_size5", |b| {
-        b.iter(|| {
-            ContractEnumerator::default()
-                .cuts(&g, &h, 5, 0, &Executor::Sequential)
-                .unwrap()
-                .len()
-        })
-    });
     c.bench_function("e16/ks_q5_size5", |b| {
         b.iter(|| {
             KargerSteinEnumerator::default()

@@ -1,9 +1,9 @@
 //! `kecss-bench-json` — the machine-readable bench trajectory emitter.
 //!
 //! Runs a quick-mode subset of the experiment workloads (E10 parallel
-//! scaling's solver kernel, E11's general cut enumeration, E12's service
-//! throughput, E13's compact-core parse and removal kernels, E14's
-//! out-of-core streaming ingest, E15's observability overhead, E16's Karger-Stein enumeration) and writes
+//! scaling's solver kernel, E12's service throughput, E13's compact-core
+//! parse and removal kernels, E14's out-of-core streaming ingest, E15's
+//! observability overhead, E16's Karger-Stein enumeration) and writes
 //! median nanoseconds per workload as JSON, so CI can upload a
 //! `BENCH_PR<N>.json` artifact and successive PRs accumulate a comparable
 //! perf trajectory.
@@ -27,7 +27,7 @@
 //! kernels exposing `/proc/self/status`; the field is simply absent
 //! elsewhere, so `kecss-bench-v1` consumers stay compatible.
 
-use kecss::cuts::{ContractEnumerator, CutEnumerator, EnumeratorPolicy};
+use kecss::cuts::{CutEnumerator, EnumeratorPolicy, KargerSteinEnumerator};
 use kecss_runtime::Executor;
 use kecss_server::instance::InstanceSpec;
 use kecss_server::job::{Algorithm, JobSpec};
@@ -73,24 +73,6 @@ fn e10_kecss_solve(samples: usize) -> Measurement {
             let sol = kecss::kecss::solve_with_exec(&g, 4, &mut solve_rng, &Executor::Sequential)
                 .expect("instance is 4-edge-connected");
             assert!(!sol.subgraph.is_empty());
-        }),
-        samples,
-        peak_rss_kb: None,
-    }
-}
-
-/// E11's representative enumeration: contraction enumerator on Q_5, cut size
-/// 5 (the first size beyond the exact specializations).
-fn e11_contract_q5(samples: usize) -> Measurement {
-    let g = graphs::generators::hypercube(5, 1);
-    let h = g.full_edge_set();
-    Measurement {
-        name: "e11_general_cuts/contract_q5_size5",
-        median_ns: median_ns(samples, || {
-            let cuts = ContractEnumerator::default()
-                .cuts(&g, &h, 5, 0, &Executor::Sequential)
-                .expect("enumeration succeeds");
-            assert!(!cuts.is_empty());
         }),
         samples,
         peak_rss_kb: None,
@@ -325,29 +307,12 @@ fn e14_out_of_core(samples: usize) -> (Measurement, Measurement) {
     (stream, slurp)
 }
 
-/// Child side of the E14 probe: ingest the fixture the parent just wrote
-/// and report the resident-set deltas.
-/// E16's headline pair: the pooled flat contraction baseline vs the
-/// recursive Karger–Stein enumerator on the `Q_5` size-5 workload (the same
-/// enumeration `e11_general_cuts/contract_q5_size5` times — that row is kept
-/// unchanged for trajectory continuity; the ISSUE 8 ≥ 5× target is the ratio
-/// of these two rows).
-fn e16_karger_stein(samples: usize) -> (Measurement, Measurement) {
-    use kecss::cuts::KargerSteinEnumerator;
+/// E16's headline row: the recursive Karger–Stein enumerator on the `Q_5`
+/// size-5 workload (the first size beyond the exact specializations).
+fn e16_ks_q5(samples: usize) -> Measurement {
     let g = graphs::generators::hypercube(5, 1);
     let h = g.full_edge_set();
-    let flat = Measurement {
-        name: "e16_karger_stein/contract_q5_size5",
-        median_ns: median_ns(samples, || {
-            let cuts = ContractEnumerator::default()
-                .cuts(&g, &h, 5, 0, &Executor::Sequential)
-                .expect("enumeration succeeds");
-            assert!(!cuts.is_empty());
-        }),
-        samples,
-        peak_rss_kb: None,
-    };
-    let ks = Measurement {
+    Measurement {
         name: "e16_karger_stein/ks_q5_size5",
         median_ns: median_ns(samples, || {
             let cuts = KargerSteinEnumerator::default()
@@ -357,16 +322,11 @@ fn e16_karger_stein(samples: usize) -> (Measurement, Measurement) {
         }),
         samples,
         peak_rss_kb: None,
-    };
-    (flat, ks)
+    }
 }
 
-/// E16's scale point: Karger–Stein on `Q_8` size-8 — the `k = 8` regime the
-/// flat scheme needs seconds per enumeration for (too slow to put in this
-/// quick-mode emitter; its one-shot time is in the `e16_karger_stein` bench
-/// table and EXPERIMENTS.md E16).
+/// E16's scale point: Karger–Stein on `Q_8` size-8 — the `k = 8` regime.
 fn e16_ks_q8(samples: usize) -> Measurement {
-    use kecss::cuts::KargerSteinEnumerator;
     let g = graphs::generators::hypercube(8, 1);
     let h = g.full_edge_set();
     Measurement {
@@ -446,6 +406,8 @@ fn e18_front_end(samples: usize) -> (Measurement, Measurement, Measurement, Meas
     )
 }
 
+/// Child side of the E14 probe: ingest the fixture the parent just wrote
+/// and report the resident-set deltas.
 fn run_e14_probe(mode: &str) {
     let path = e14_fixture_path();
     match mode {
@@ -507,12 +469,10 @@ fn main() {
     let (e13_text, e13_binary) = e13_parse(samples);
     let (e14_stream, e14_slurp) = e14_out_of_core(samples);
     let (e15_instrumented, e15_noop) = e15_observability_overhead(samples);
-    let (e16_flat, e16_ks) = e16_karger_stein(samples);
     let (e17_ring, e17_solo, e17_duo) = e17_fleet(samples);
     let (e18_b1, e18_b64, e18_b1024, e18_t1) = e18_front_end(samples);
     let measurements = [
         e10_kecss_solve(samples),
-        e11_contract_q5(samples),
         e12_submit_to_result(samples),
         e12_scheduler_overhead(samples),
         e13_text,
@@ -522,8 +482,7 @@ fn main() {
         e14_slurp,
         e15_instrumented,
         e15_noop,
-        e16_flat,
-        e16_ks,
+        e16_ks_q5(samples),
         e16_ks_q8(samples),
         e17_ring,
         e17_solo,

@@ -35,7 +35,7 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, CliError> {
 fn parse_enumerator(s: &str) -> Result<EnumeratorPolicy, CliError> {
     EnumeratorPolicy::parse(s).ok_or_else(|| {
         CliError::Usage(format!(
-            "unknown enumerator '{s}' (expected exact, label, contract, ks or auto)"
+            "unknown enumerator '{s}' (expected exact, label, ks or auto)"
         ))
     })
 }
@@ -302,14 +302,13 @@ flag. `sweep` runs every (n, algorithm, seed) cell of the grid concurrently
 over T worker threads and verifies each solution. Results are bit-identical
 for every thread count.
 
-`--enumerator <exact|label|contract|ks|auto>` picks the cut-enumeration
-strategy for kecss and greedy (default auto); `--strategy` is an alias.
-'exact' is the specialized size-1..3 enumerator (so k <= 4); 'label'
-enumerates XOR-zero cycle-space subsets of any size; 'contract' is flat
-randomized Karger contraction (the ablation baseline); 'ks' is recursive
-Karger-Stein contraction (DESIGN.md #12, the fast path for large k); 'auto'
-uses exact below size 4, then label, falling back to ks when the candidate
-pool explodes. Any k is supported with label/contract/ks/auto.
+`--enumerator <exact|label|ks|auto>` picks the cut-enumeration strategy for
+kecss and greedy (default auto); `--strategy` is an alias. 'exact' is the
+specialized size-1..3 enumerator (so k <= 4); 'label' enumerates XOR-zero
+cycle-space subsets of any size; 'ks' is recursive Karger-Stein contraction
+(DESIGN.md #12, the fast path for large k); 'auto' uses exact below size 4,
+then label, falling back to ks when the candidate pool explodes. Any k is
+supported with label/ks/auto.
 
 The 'hypercube' family rounds --n to the next power of two and has edge
 connectivity exactly log2 n, giving ground truth for high-k runs.
@@ -931,7 +930,6 @@ mod tests {
         for (name, expected) in [
             ("exact", EnumeratorPolicy::Exact),
             ("label", EnumeratorPolicy::Label),
-            ("contract", EnumeratorPolicy::Contract),
             ("ks", EnumeratorPolicy::Ks),
             ("auto", EnumeratorPolicy::Auto),
         ] {
@@ -980,7 +978,7 @@ mod tests {
             "--n",
             "64",
             "--enumerator",
-            "contract",
+            "ks",
         ]))
         .unwrap()
         {
@@ -994,7 +992,7 @@ mod tests {
                         ns: vec![64],
                     }
                 );
-                assert_eq!(enumerator, EnumeratorPolicy::Contract);
+                assert_eq!(enumerator, EnumeratorPolicy::Ks);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1336,6 +1334,14 @@ mod tests {
             "abc"
         ]))
         .is_err());
+        // The retired flat-contraction strategy is refused, not misread.
+        let retired: Vec<&str> = "solve --input g --algorithm kecss --enumerator contract"
+            .split(' ')
+            .collect();
+        assert!(matches!(
+            parse(&argv(&retired)),
+            Err(CliError::Usage(m)) if m.contains("unknown enumerator 'contract'")
+        ));
         assert!(parse(&argv(&["nonsense"])).is_err());
     }
 }

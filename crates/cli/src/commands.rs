@@ -759,7 +759,7 @@ mod tests {
         });
         for enumerator in [
             EnumeratorPolicy::Label,
-            EnumeratorPolicy::Contract,
+            EnumeratorPolicy::Ks,
             EnumeratorPolicy::Auto,
         ] {
             let text = run(Command::Solve {

@@ -172,15 +172,6 @@ impl Network {
         &self.contexts[v]
     }
 
-    /// All per-vertex contexts, indexed by vertex id.
-    ///
-    /// This is the executor seam used by the `kecss_runtime` parallel round
-    /// engine: workers borrow the contexts of their chunk while the network
-    /// itself stays shared and immutable.
-    pub fn contexts(&self) -> &[NodeContext] {
-        &self.contexts
-    }
-
     /// Runs one program per vertex until all have terminated or `max_rounds`
     /// is reached.
     ///
@@ -206,53 +197,37 @@ impl Network {
         }
         let mut report = RunReport::default();
         let mut done = vec![false; n];
-        // Live/undelivered counters replace the former O(n) per-round scans
-        // of the done flags and inboxes; the loop condition is equivalent
-        // (`undelivered` counts exactly the messages swapped into `inboxes`).
+        // The live count and the per-round message count replace O(n) scans
+        // of the done flags and inboxes.
         let mut live = n;
-        // inboxes[v] = messages to deliver to v at the start of the next round.
+        // inboxes[v] = messages delivered to v at the start of this round;
+        // pending[v] = messages sent to v this round (the next round's inbox).
         let mut inboxes: Vec<Vec<Incoming>> = vec![Vec::new(); n];
-
-        // Initialization "round zero": no inbox, typically only initiators act.
         let mut pending: Vec<Vec<Incoming>> = vec![Vec::new(); n];
-        for v in 0..n {
-            let result = programs[v].init(&self.contexts[v]);
-            self.collect(v, result.outgoing, &mut pending, &mut report)?;
-            if result.done {
-                done[v] = true;
-                live -= 1;
-            }
-        }
-        std::mem::swap(&mut inboxes, &mut pending);
-        let mut undelivered = report.messages;
 
-        while live > 0 || undelivered > 0 {
+        // Round zero is the initialization round: no inbox, typically only
+        // initiators act.
+        loop {
+            let sent_before = report.messages;
+            live -= self.step_range(
+                0,
+                &mut programs,
+                &mut done,
+                &mut inboxes,
+                report.rounds,
+                &mut report,
+                |to, incoming| pending[to].push(incoming),
+            )?;
+            // step_range drained every inbox, so the swap leaves `pending`
+            // empty for the next round.
+            std::mem::swap(&mut inboxes, &mut pending);
+            if live == 0 && report.messages == sent_before {
+                break;
+            }
             if report.rounds >= max_rounds {
                 return Err(NetworkError::RoundLimitExceeded { limit: max_rounds });
             }
             report.rounds += 1;
-            for ib in pending.iter_mut() {
-                ib.clear();
-            }
-            let sent_before = report.messages;
-            for v in 0..n {
-                if done[v] && inboxes[v].is_empty() {
-                    continue;
-                }
-                inboxes[v].sort_by_key(|m| m.from);
-                let result: StepResult =
-                    programs[v].step(&self.contexts[v], report.rounds, &inboxes[v]);
-                self.collect(v, result.outgoing, &mut pending, &mut report)?;
-                if result.done && !done[v] {
-                    done[v] = true;
-                    live -= 1;
-                }
-            }
-            for ib in inboxes.iter_mut() {
-                ib.clear();
-            }
-            std::mem::swap(&mut inboxes, &mut pending);
-            undelivered = report.messages - sent_before;
         }
 
         Ok(Outcome {
@@ -261,36 +236,86 @@ impl Network {
         })
     }
 
-    fn collect(
+    /// Steps one synchronous round for the contiguous vertex slice starting
+    /// at `base`: `programs[i]`, `done[i]` and `inboxes[i]` belong to vertex
+    /// `base + i`. This is the one place that decides what a CONGEST
+    /// violation is and how a message is counted; [`Network::run`] calls it
+    /// over all vertices, and the `kecss_runtime` parallel engine over each
+    /// worker's chunk.
+    ///
+    /// For every vertex in order that is live or has mail, it sorts the inbox
+    /// by sender id (stable, so one sender's messages keep their send order),
+    /// calls [`NodeProgram::init`] in round 0 and [`NodeProgram::step`]
+    /// otherwise, validates each outgoing message, adds it to `report`'s
+    /// message statistics and hands it to `deliver(recipient, message)`.
+    /// Consumed inboxes are cleared in place (their capacity is kept), so on
+    /// success every inbox of the slice is empty.
+    ///
+    /// Returns the number of vertices that terminated in this round.
+    ///
+    /// # Errors
+    ///
+    /// The first CONGEST violation in vertex order: a send to a non-neighbor
+    /// ([`NetworkError::NotANeighbor`]) or a message over the word budget
+    /// ([`NetworkError::MessageTooLarge`]). The round is then incomplete and
+    /// the run must be discarded.
+    #[allow(clippy::too_many_arguments)]
+    pub fn step_range<P: NodeProgram>(
         &self,
-        from: NodeId,
-        outgoing: Vec<crate::node::Outgoing>,
-        pending: &mut [Vec<Incoming>],
+        base: NodeId,
+        programs: &mut [P],
+        done: &mut [bool],
+        inboxes: &mut [Vec<Incoming>],
+        round: u64,
         report: &mut RunReport,
-    ) -> Result<(), NetworkError> {
-        for out in outgoing {
-            let to = out.to;
-            if self.contexts[from].edge_to(to).is_none() {
-                return Err(NetworkError::NotANeighbor { from, to });
+        mut deliver: impl FnMut(NodeId, Incoming),
+    ) -> Result<usize, NetworkError> {
+        let mut halted = 0;
+        for (i, program) in programs.iter_mut().enumerate() {
+            let inbox = &mut inboxes[i];
+            if done[i] && inbox.is_empty() {
+                continue;
             }
-            let words = out.message.len();
-            if words > self.word_budget {
-                return Err(NetworkError::MessageTooLarge {
-                    from,
+            let from = base + i;
+            let ctx = &self.contexts[from];
+            inbox.sort_by_key(|m| m.from);
+            let result: StepResult = if round == 0 {
+                program.init(ctx)
+            } else {
+                program.step(ctx, round, inbox)
+            };
+            inbox.clear();
+            for out in result.outgoing {
+                let to = out.to;
+                if ctx.edge_to(to).is_none() {
+                    return Err(NetworkError::NotANeighbor { from, to });
+                }
+                let words = out.message.len();
+                if words > self.word_budget {
+                    return Err(NetworkError::MessageTooLarge {
+                        from,
+                        to,
+                        words,
+                        budget: self.word_budget,
+                    });
+                }
+                report.messages += 1;
+                report.words += words as u64;
+                report.max_message_words = report.max_message_words.max(words as u64);
+                deliver(
                     to,
-                    words,
-                    budget: self.word_budget,
-                });
+                    Incoming {
+                        from,
+                        message: out.message,
+                    },
+                );
             }
-            report.messages += 1;
-            report.words += words as u64;
-            report.max_message_words = report.max_message_words.max(words as u64);
-            pending[to].push(Incoming {
-                from,
-                message: out.message,
-            });
+            if result.done && !done[i] {
+                done[i] = true;
+                halted += 1;
+            }
         }
-        Ok(())
+        Ok(halted)
     }
 }
 

@@ -510,14 +510,14 @@ mod tests {
 
     #[test]
     fn contraction_enumerator_is_certified_exact() {
-        // Even with a laughably small trial count, the post-certification
+        // Even with a single Karger–Stein repetition, the post-certification
         // loop keeps escalating until the result is exactly k-edge-connected.
-        use crate::cuts::ContractEnumerator;
+        use crate::cuts::KargerSteinEnumerator;
         let mut rng = ChaCha8Rng::seed_from_u64(33);
         let g = generators::random_k_edge_connected(12, 5, 8, &mut rng);
         let h = baselines::thurimella::sparse_certificate(&g, 4).edges;
         let model = CostModel::new(g.n(), graphs::bfs::diameter(&g).unwrap_or(g.n()));
-        let enumerator = ContractEnumerator::with_trials(8);
+        let enumerator = KargerSteinEnumerator::with_repetitions(1);
         let sol = augment_with_enumerator(
             &g,
             &h,

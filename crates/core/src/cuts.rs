@@ -18,20 +18,17 @@
 //!   verification this enumerator is **deterministically complete** for the
 //!   induced cuts — its only failure mode is combinatorial cost, bounded by a
 //!   candidate budget.
-//! * [`ContractEnumerator`] — flat Karger-style repeated contraction (plus
-//!   deterministic vertex-star and edge-pair seeds): `Θ(n² log n)`
-//!   independent trials, each contracting from the full graph. Kept as the
-//!   ablation baseline for the recursive variant below.
-//! * [`KargerSteinEnumerator`] — the recursive Karger–Stein variant
-//!   (DESIGN.md §12): contract to `⌈n/√2⌉ + 1` super-vertices, recurse twice
-//!   with seeds derived from the recursion *path*, enumerate bipartitions
-//!   exhaustively at the base. Sharing contraction prefixes cuts the total
+//! * [`KargerSteinEnumerator`] — recursive Karger–Stein contraction
+//!   (DESIGN.md §12), after deterministic vertex-star and edge-pair seeds:
+//!   contract to `⌈n/√2⌉ + 1` super-vertices, recurse twice with seeds
+//!   derived from the recursion *path*, enumerate bipartitions exhaustively
+//!   at the base. Sharing contraction prefixes cuts the total
 //!   work to `O(n² log² n)` per repetition round; the independent repetition
 //!   roots run on the [`Executor`] with results merged in path order, so
 //!   `Threaded(n)` stays bit-identical to `Sequential`. Complete w.h.p.;
 //!   `Aug_k` additionally certifies the augmented subgraph exactly and
 //!   re-enumerates with fresh randomness on a miss, so the pipeline's
-//!   *output* is always exact (the same contract the flat fallback had).
+//!   *output* is always exact.
 //!
 //! [`AutoEnumerator`] picks per size: exact specializations for `1..=3`, the
 //! label enumerator above that, Karger–Stein when the label budget trips.
@@ -49,21 +46,19 @@ pub use karger_stein::KargerSteinEnumerator;
 
 use crate::cycle_space::Circulation;
 use crate::error::{Error, Result};
-use graphs::{connectivity, dsu::DisjointSets, EdgeId, EdgeSet, Graph, NodeId, RootedTree};
+use graphs::{connectivity, EdgeId, EdgeSet, Graph, NodeId, RootedTree};
 use kecss_runtime::Executor;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeSet;
 
 /// The largest cut size the [`ExactEnumerator`] specializations handle.
-/// Larger sizes go through [`LabelEnumerator`] / [`ContractEnumerator`]
+/// Larger sizes go through [`LabelEnumerator`] / [`KargerSteinEnumerator`]
 /// (which is what [`AutoEnumerator`] arranges), so this is **not** a cap on
 /// the pipeline's `k` any more.
 pub const EXACT_MAX_CUT_SIZE: usize = 3;
 
 /// Default budget on label-class candidate visits before the pool counts as
-/// "exploded" and [`AutoEnumerator`] falls back to contraction.
+/// "exploded" and [`AutoEnumerator`] falls back to Karger–Stein contraction.
 pub const DEFAULT_LABEL_BUDGET: u64 = 4_000_000;
 
 /// A single cut: the edge ids, sorted.
@@ -97,7 +92,7 @@ pub fn covers(graph: &Graph, h: &EdgeSet, cut: &[EdgeId], e: EdgeId) -> bool {
 /// * When `h` is `size`-edge-connected — the regime the `Aug_k` driver always
 ///   calls from — the cuts of size `size` are exactly the minimum cuts, and
 ///   every implementation aims to report all of them ([`ExactEnumerator`] and
-///   [`LabelEnumerator`] deterministically, [`ContractEnumerator`] w.h.p.).
+///   [`LabelEnumerator`] deterministically, [`KargerSteinEnumerator`] w.h.p.).
 ///   When `h` has smaller cuts, non-induced edge subsets that happen to
 ///   disconnect (e.g. a bridge plus an arbitrary edge) are *not* reported,
 ///   matching the pre-refactor behavior.
@@ -116,7 +111,7 @@ pub fn covers(graph: &Graph, h: &EdgeSet, cut: &[EdgeId], e: EdgeId) -> bool {
 ///   strategy does not implement the requested size;
 /// * [`Error::CandidateOverflow`] if a candidate budget was exceeded.
 pub trait CutEnumerator: Sync {
-    /// The strategy's display name (`exact`, `label`, `contract`, `auto`).
+    /// The strategy's display name (`exact`, `label`, `ks`, `auto`).
     fn name(&self) -> &'static str;
 
     /// Enumerates every cut of exactly `size` edges of `(V, h)`, verifying
@@ -139,8 +134,6 @@ pub enum EnumeratorPolicy {
     Exact,
     /// [`LabelEnumerator`]: any size, bounded by the candidate budget.
     Label,
-    /// [`ContractEnumerator`]: any size, randomized flat contraction.
-    Contract,
     /// [`KargerSteinEnumerator`]: any size, recursive contraction.
     Ks,
     /// [`AutoEnumerator`]: exact below 4, label above, Karger–Stein fallback.
@@ -154,7 +147,6 @@ impl EnumeratorPolicy {
         match s {
             "exact" => Some(EnumeratorPolicy::Exact),
             "label" => Some(EnumeratorPolicy::Label),
-            "contract" => Some(EnumeratorPolicy::Contract),
             "ks" => Some(EnumeratorPolicy::Ks),
             "auto" => Some(EnumeratorPolicy::Auto),
             _ => None,
@@ -166,7 +158,6 @@ impl EnumeratorPolicy {
         match self {
             EnumeratorPolicy::Exact => "exact",
             EnumeratorPolicy::Label => "label",
-            EnumeratorPolicy::Contract => "contract",
             EnumeratorPolicy::Ks => "ks",
             EnumeratorPolicy::Auto => "auto",
         }
@@ -177,7 +168,6 @@ impl EnumeratorPolicy {
         match self {
             EnumeratorPolicy::Exact => Box::new(ExactEnumerator),
             EnumeratorPolicy::Label => Box::new(LabelEnumerator::default()),
-            EnumeratorPolicy::Contract => Box::new(ContractEnumerator::default()),
             EnumeratorPolicy::Ks => Box::new(KargerSteinEnumerator::default()),
             EnumeratorPolicy::Auto => Box::new(AutoEnumerator::default()),
         }
@@ -243,7 +233,7 @@ fn labels_for(graph: &Graph, h: &EdgeSet, salt: u64) -> Circulation {
 ///
 /// Deterministically complete on its sizes; requests for size > 3 return
 /// [`Error::InvalidCutRequest`] — use [`LabelEnumerator`],
-/// [`ContractEnumerator`] or [`AutoEnumerator`] instead.
+/// [`KargerSteinEnumerator`] or [`AutoEnumerator`] instead.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExactEnumerator;
 
@@ -278,7 +268,7 @@ impl CutEnumerator for ExactEnumerator {
             _ => Err(Error::InvalidCutRequest {
                 reason: format!(
                     "the exact enumerator handles cut sizes 1..={EXACT_MAX_CUT_SIZE}, \
-                     got {size}; use the 'label', 'contract' or 'auto' strategy"
+                     got {size}; use the 'label', 'ks' or 'auto' strategy"
                 ),
             }),
         }
@@ -392,181 +382,10 @@ impl CutEnumerator for LabelEnumerator {
     }
 }
 
-/// The base seed of the contraction trials (mixed with the salt).
-const CONTRACT_SEED: u64 = 0xc027_7ac7_10e5_eed5;
-
-/// `⌈log2 n⌉` (1 for `n <= 2`) — the integer log the contraction effort
-/// formulas are built from, keeping the hot path float-free and
-/// platform-independent.
-pub(crate) fn ceil_log2(n: usize) -> u64 {
-    u64::from(u64::BITS - (n.max(2) as u64 - 1).leading_zeros())
-}
-
-/// An integer upper bound on `⌈ln n⌉`: `⌈0.693 · ⌈log2 n⌉⌉`. Agrees with the
-/// float formula at every power of two (in particular the bench workloads'
-/// sizes) and is never smaller, so the w.h.p. trial-count argument carries
-/// over unchanged.
-pub(crate) fn ceil_ln(n: usize) -> u64 {
-    (ceil_log2(n) * 693).div_ceil(1000)
-}
-
-/// Inserts the deterministic candidate seeds shared by the contraction
-/// enumerators into `candidates`: vertex stars `δ(v)` and adjacent-pair
-/// boundaries `δ({u, v})` whose crossing size matches. These cover the
-/// common minimum cuts of near-regular graphs before any random trial runs.
-fn seed_candidates(graph: &Graph, h: &EdgeSet, size: usize, candidates: &mut BTreeSet<Cut>) {
-    let star = |v: NodeId| -> Vec<EdgeId> {
-        graph
-            .neighbors(v)
-            .iter()
-            .filter(|(_, id)| h.contains(*id))
-            .map(|&(_, id)| id)
-            .collect()
-    };
-    for v in 0..graph.n() {
-        let mut s = star(v);
-        if s.len() == size {
-            s.sort();
-            candidates.insert(s);
-        }
-    }
-    for id in h.iter() {
-        let e = graph.edge(id);
-        let mut boundary: Vec<EdgeId> = star(e.u)
-            .into_iter()
-            .chain(star(e.v))
-            .filter(|&b| {
-                let be = graph.edge(b);
-                !(be.has_endpoint(e.u) && be.has_endpoint(e.v))
-            })
-            .collect();
-        if boundary.len() == size {
-            boundary.sort();
-            candidates.insert(boundary);
-        }
-    }
-}
-
-/// Flat Karger-style randomized contraction for arbitrary cut size:
-/// repeatedly contract uniformly random edges of `h` until two
-/// super-vertices remain; the crossing edges form an induced cut, kept when
-/// its size matches. The deterministic candidate seeds of
-/// [`seed_candidates`] run first. Every candidate is still verified by the
-/// exact removal test.
-///
-/// With `trials = Θ(n² log n)` every minimum cut is found w.h.p. (each
-/// survives one contraction with probability `≥ 2/(n(n-1))`); the default
-/// trial count uses that formula. The `salt` doubles the trial count on each
-/// certification retry (up to 32×) in addition to re-seeding the RNG, so the
-/// `Aug_k` retry loop escalates rather than replays.
-///
-/// This is the ablation baseline for [`KargerSteinEnumerator`], which shares
-/// contraction prefixes through recursion instead of restarting every trial
-/// from the full graph. The trial loop reuses one shuffle order, one
-/// [`DisjointSets`] forest and one cut buffer across all trials — no
-/// per-trial allocation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ContractEnumerator {
-    /// Number of contraction trials; `None` uses [`ContractEnumerator::default_trials`].
-    pub trials: Option<u64>,
-}
-
-impl ContractEnumerator {
-    /// A contraction enumerator with an explicit trial count.
-    pub fn with_trials(trials: u64) -> Self {
-        ContractEnumerator {
-            trials: Some(trials),
-        }
-    }
-
-    /// The default trial count for an `n`-vertex subgraph: `2 n² ⌈ln n⌉`,
-    /// at least 512, with the log computed by the integer bound [`ceil_ln`]
-    /// (no floats on the hot path).
-    pub fn default_trials(n: usize) -> u64 {
-        let n = n as u64;
-        (2 * n * n * ceil_ln(n as usize)).max(512)
-    }
-}
-
-impl CutEnumerator for ContractEnumerator {
-    fn name(&self) -> &'static str {
-        "contract"
-    }
-
-    fn cuts(
-        &self,
-        graph: &Graph,
-        h: &EdgeSet,
-        size: usize,
-        salt: u64,
-        exec: &Executor,
-    ) -> Result<Vec<Cut>> {
-        check_request(graph, h, size)?;
-        let n = graph.n();
-        let ids: Vec<EdgeId> = h.iter().collect();
-        // The endpoints of every edge of h, hoisted out of the trial loop.
-        let ends: Vec<(NodeId, NodeId)> = ids
-            .iter()
-            .map(|&id| {
-                let e = graph.edge(id);
-                (e.u, e.v)
-            })
-            .collect();
-        // BTreeSet: dedups across trials and yields candidates in sorted
-        // (deterministic) order for the batch verification.
-        let mut candidates: BTreeSet<Cut> = BTreeSet::new();
-        seed_candidates(graph, h, size, &mut candidates);
-
-        // Randomized contraction trials. All RNG draws stay on the calling
-        // thread (DESIGN.md §8); only the removal verification parallelizes.
-        // The shuffle order, the union-find forest and the candidate buffer
-        // are allocated once and reset per trial.
-        let base = self.trials.unwrap_or_else(|| Self::default_trials(n));
-        let trials = base.saturating_mul(1u64 << salt.min(5));
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(CONTRACT_SEED ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut order: Vec<usize> = (0..ids.len()).collect();
-        let mut dsu = DisjointSets::new(n);
-        let mut cut_buf: Cut = Vec::with_capacity(size);
-        for trial in 0..trials {
-            order.shuffle(&mut rng);
-            if trial > 0 {
-                dsu.reset();
-            }
-            for &i in &order {
-                if dsu.component_count() == 2 {
-                    break;
-                }
-                let (u, v) = ends[i];
-                dsu.union(u, v);
-            }
-            if dsu.component_count() != 2 {
-                continue;
-            }
-            cut_buf.clear();
-            cut_buf.extend(
-                ids.iter()
-                    .zip(&ends)
-                    .filter(|&(_, &(u, v))| dsu.find(u) != dsu.find(v))
-                    .map(|(&id, _)| id),
-            );
-            if cut_buf.len() == size && !candidates.contains(cut_buf.as_slice()) {
-                candidates.insert(cut_buf.clone());
-            }
-        }
-
-        let candidates: Vec<Cut> = candidates.into_iter().collect();
-        let mut out = verify_candidates(graph, h, candidates, exec, "contract");
-        out.sort();
-        Ok(out)
-    }
-}
-
 /// The per-size policy: [`ExactEnumerator`] for sizes `1..=3`,
 /// [`LabelEnumerator`] above, and the [`KargerSteinEnumerator`] fallback
-/// when the label-class candidate pool explodes (the flat
-/// [`ContractEnumerator`] stays available as the `contract` ablation
-/// strategy). This is the default everywhere.
+/// when the label-class candidate pool explodes. This is the default
+/// everywhere.
 #[derive(Clone, Copy, Debug)]
 pub struct AutoEnumerator {
     /// Budget for the label stage (see [`LabelEnumerator`]).
@@ -1003,18 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn contract_enumerator_matches_naive_induced_cuts_size_four() {
-        use rand::SeedableRng;
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let g = generators::random_k_edge_connected(9, 4, 3, &mut rng);
-        let h = g.full_edge_set();
-        let cuts = ContractEnumerator::default()
-            .cuts(&g, &h, 4, 0, &Executor::Sequential)
-            .unwrap();
-        assert_eq!(cuts, naive_induced_cuts(&g, &h, 4));
-    }
-
-    #[test]
     fn label_budget_overflow_is_reported_and_auto_falls_back() {
         let g = generators::torus(3, 4, 1);
         let h = g.full_edge_set();
@@ -1050,11 +857,11 @@ mod tests {
             let label = LabelEnumerator::default()
                 .cuts(&g, &h, size, 0, &exec)
                 .unwrap();
-            let contract = ContractEnumerator::default()
+            let ks = KargerSteinEnumerator::default()
                 .cuts(&g, &h, size, 0, &exec)
                 .unwrap();
             assert_eq!(label, exact, "label vs exact, size {size}");
-            assert_eq!(contract, exact, "contract vs exact, size {size}");
+            assert_eq!(ks, exact, "ks vs exact, size {size}");
         }
     }
 
@@ -1079,7 +886,6 @@ mod tests {
         for (name, policy) in [
             ("exact", EnumeratorPolicy::Exact),
             ("label", EnumeratorPolicy::Label),
-            ("contract", EnumeratorPolicy::Contract),
             ("ks", EnumeratorPolicy::Ks),
             ("auto", EnumeratorPolicy::Auto),
         ] {

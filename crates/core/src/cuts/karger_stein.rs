@@ -1,13 +1,12 @@
 //! The recursive Karger–Stein cut enumerator (DESIGN.md §12).
 //!
-//! The flat [`ContractEnumerator`](super::ContractEnumerator) restarts every
-//! contraction trial from the full graph: `Θ(n² log n)` trials, `O(n)` union
-//! operations each. Karger–Stein observes that a random contraction is very
-//! unlikely to destroy a fixed minimum cut *early* — contracting from `n`
-//! down to `⌈n/√2⌉ + 1` super-vertices preserves it with probability `≥ 1/2`
-//! — so the expensive shallow prefix of the contraction can be *shared*:
-//! contract once to `⌈n/√2⌉ + 1`, then recurse **twice** with independent
-//! randomness. One repetition of the recursion does `O(n² log n)` work and
+//! Flat Karger contraction restarts every trial from the full graph:
+//! `Θ(n² log n)` trials, `O(n)` union operations each. Karger–Stein observes
+//! that a random contraction is very unlikely to destroy a fixed minimum cut
+//! *early* — contracting from `n` down to `⌈n/√2⌉ + 1` super-vertices
+//! preserves it with probability `≥ 1/2` — so the expensive shallow prefix
+//! of the contraction can be *shared*: contract once to `⌈n/√2⌉ + 1`, then
+//! recurse **twice** with independent randomness. One repetition of the recursion does `O(n² log n)` work and
 //! finds any fixed minimum cut with probability `Ω(1/log n)`; `Θ(log² n)`
 //! repetitions find *all* of them w.h.p. (a `(k-1)`-edge-connected graph has
 //! at most `binom(n, 2)` minimum cuts).
@@ -33,11 +32,9 @@
 //! (via a generation token) across enumeration calls on the same thread.
 //! After warm-up a repetition allocates only the candidate cuts it emits.
 
-use super::{
-    ceil_log2, check_request, seed_candidates, verify_candidates, Cut, CutEnumerator, CONTRACT_SEED,
-};
+use super::{check_request, verify_candidates, Cut, CutEnumerator};
 use crate::error::Result;
-use graphs::{EdgeId, EdgeSet, Graph};
+use graphs::{EdgeId, EdgeSet, Graph, NodeId};
 use kecss_runtime::Executor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -88,6 +85,53 @@ const SPAN_DEPTHS: [&str; 4] = ["ks_depth_0", "ks_depth_1", "ks_depth_2", "ks_de
 /// Distinguishes enumeration calls so a thread-local [`Workspace`] warmed by
 /// a previous call (same thread, different graph) is rebuilt.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
+
+/// The base seed of the Karger–Stein recursion seeds (mixed with the salt).
+const CONTRACT_SEED: u64 = 0xc027_7ac7_10e5_eed5;
+
+/// `⌈log2 n⌉` (1 for `n <= 2`) — the integer log the Karger–Stein
+/// repetition count is built from, keeping the hot path float-free and
+/// platform-independent.
+fn ceil_log2(n: usize) -> u64 {
+    u64::from(u64::BITS - (n.max(2) as u64 - 1).leading_zeros())
+}
+
+/// Inserts the deterministic candidate seeds of the Karger–Stein
+/// enumerator into `candidates`: vertex stars `δ(v)` and adjacent-pair
+/// boundaries `δ({u, v})` whose crossing size matches. These cover the
+/// common minimum cuts of near-regular graphs before any random trial runs.
+fn seed_candidates(graph: &Graph, h: &EdgeSet, size: usize, candidates: &mut BTreeSet<Cut>) {
+    let star = |v: NodeId| -> Vec<EdgeId> {
+        graph
+            .neighbors(v)
+            .iter()
+            .filter(|(_, id)| h.contains(*id))
+            .map(|&(_, id)| id)
+            .collect()
+    };
+    for v in 0..graph.n() {
+        let mut s = star(v);
+        if s.len() == size {
+            s.sort();
+            candidates.insert(s);
+        }
+    }
+    for id in h.iter() {
+        let e = graph.edge(id);
+        let mut boundary: Vec<EdgeId> = star(e.u)
+            .into_iter()
+            .chain(star(e.v))
+            .filter(|&b| {
+                let be = graph.edge(b);
+                !(be.has_endpoint(e.u) && be.has_endpoint(e.v))
+            })
+            .collect();
+        if boundary.len() == size {
+            boundary.sort();
+            candidates.insert(boundary);
+        }
+    }
+}
 
 /// splitmix64 — the standard 64-bit finalizer, used to chain the seed
 /// ingredients. Statistically independent outputs for distinct inputs.
@@ -452,8 +496,7 @@ thread_local! {
 /// super-vertices, recurse twice with independent path-derived seeds,
 /// enumerate bipartitions exhaustively on `≤ 6` super-vertices, dedupe in a
 /// `BTreeSet` and verify every candidate with the exact removal test. The
-/// deterministic seeds of [`seed_candidates`] run first, as in the flat
-/// enumerator.
+/// deterministic vertex-star and adjacent-pair seeds run first.
 ///
 /// Repetition roots run in parallel on the [`Executor`] and merge in
 /// repetition order, so results are bit-identical for every executor. The
@@ -480,11 +523,10 @@ impl KargerSteinEnumerator {
 
     /// The default repetition count for an `n`-vertex subgraph:
     /// `2 ⌈log2 n⌉²`, at least 12 — the `Θ(log² n)` schedule that finds all
-    /// minimum cuts w.h.p., float-free like
-    /// [`super::ContractEnumerator::default_trials`]. The constant leans on
-    /// the deterministic seeds, the exact per-candidate verification and the
-    /// salt-escalation retry above — a missed cut costs a retry at double
-    /// the repetitions, never a wrong answer.
+    /// minimum cuts w.h.p., float-free. The constant leans on the
+    /// deterministic seeds, the exact per-candidate verification and the
+    /// salt-escalation retry above — a missed cut costs a retry at double the
+    /// repetitions, never a wrong answer.
     pub fn default_repetitions(n: usize) -> u64 {
         let l = ceil_log2(n);
         (2 * l * l).max(12)
@@ -551,7 +593,7 @@ impl CutEnumerator for KargerSteinEnumerator {
 #[cfg(test)]
 mod tests {
     use super::super::tests::naive_induced_cuts;
-    use super::super::{ContractEnumerator, LabelEnumerator};
+    use super::super::LabelEnumerator;
     use super::*;
     use graphs::generators;
 
@@ -628,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn ks_matches_flat_contract_and_label_on_torus() {
+    fn ks_matches_naive_and_label_on_torus() {
         let g = generators::torus(3, 4, 1);
         let h = g.full_edge_set();
         let exec = Executor::Sequential;
@@ -638,12 +680,8 @@ mod tests {
         let label = LabelEnumerator::default()
             .cuts(&g, &h, 4, 0, &exec)
             .unwrap();
-        let flat = ContractEnumerator::default()
-            .cuts(&g, &h, 4, 0, &exec)
-            .unwrap();
         assert_eq!(ks, naive_induced_cuts(&g, &h, 4));
         assert_eq!(ks, label);
-        assert_eq!(ks, flat);
     }
 
     #[test]

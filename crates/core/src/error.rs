@@ -65,7 +65,7 @@ pub enum Error {
     ServiceShuttingDown,
     /// A randomized cut enumerator kept missing cuts: the augmentation's
     /// exact post-certification failed even after re-enumerating with fresh
-    /// randomness. This indicates far too few contraction trials (or a bug);
+    /// randomness. This indicates far too few Karger–Stein repetitions (or a bug);
     /// it does not occur with the `exact`/`label` strategies, which are
     /// deterministically complete on their supported sizes.
     IncompleteEnumeration {
@@ -94,8 +94,8 @@ impl fmt::Display for Error {
             Error::CandidateOverflow { size, budget } => write!(
                 f,
                 "label-class candidate pool for cuts of size {size} exceeded the budget of \
-                 {budget} visits; use the contraction enumerator (enumerator policy 'contract' \
-                 or 'auto')"
+                 {budget} visits; use the Karger–Stein enumerator (enumerator policy 'ks' or \
+                 'auto')"
             ),
             Error::JobCancelled { job } => {
                 write!(f, "job {job} was cancelled before it ran")
@@ -111,7 +111,7 @@ impl fmt::Display for Error {
             Error::IncompleteEnumeration { size, attempts } => write!(
                 f,
                 "randomized enumeration of cuts of size {size} was still incomplete after \
-                 {attempts} certified attempts; increase the contraction trial count"
+                 {attempts} certified attempts; increase the Karger–Stein repetition count"
             ),
         }
     }

@@ -35,18 +35,6 @@ impl DisjointSets {
         }
     }
 
-    /// Resets every element back to a singleton set, reusing the existing
-    /// allocations. Equivalent to `*self = DisjointSets::new(self.len())`
-    /// without touching the allocator — the contraction enumerators reset a
-    /// pooled forest once per trial on their hot path.
-    pub fn reset(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i;
-        }
-        self.rank.fill(0);
-        self.components = self.parent.len();
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -167,24 +155,6 @@ mod tests {
         assert_eq!(labels[0], labels[3]);
         assert_ne!(labels[0], labels[1]);
         assert_ne!(labels[1], labels[2]);
-    }
-
-    #[test]
-    fn reset_restores_singletons_in_place() {
-        let mut d = DisjointSets::new(8);
-        for i in 0..7 {
-            d.union(i, i + 1);
-        }
-        assert_eq!(d.component_count(), 1);
-        d.reset();
-        assert_eq!(d.component_count(), 8);
-        for v in 0..8 {
-            assert_eq!(d.find(v), v);
-        }
-        // The reset forest behaves exactly like a fresh one.
-        assert!(d.union(3, 5));
-        assert!(d.connected(3, 5));
-        assert!(!d.connected(0, 3));
     }
 
     #[test]

@@ -12,21 +12,22 @@
 //!
 //! 1. the coordinator carves the double-buffered inbox vector into per-chunk
 //!    slices and hands each worker its chunk's inboxes for the round;
-//! 2. each worker sorts every inbox by sender id (same stable sort as the
-//!    sequential executor), steps its live nodes in vertex order, validates
-//!    the CONGEST constraints, and returns its outgoing messages plus its
-//!    message statistics;
+//! 2. each worker steps its chunk through [`congest::Network::step_range`],
+//!    the routine the sequential executor runs over all vertices (sort each
+//!    inbox by sender id, step the live nodes in vertex order, validate the
+//!    CONGEST constraints, count the messages), and returns its outgoing
+//!    messages plus its message statistics;
 //! 3. the coordinator merges the workers' results **in chunk order** — which
 //!    equals vertex order — into the next round's inboxes and into the
 //!    [`RunReport`].
 //!
-//! Inbox vectors are *recycled* between rounds: each worker clears its
-//! chunk's inboxes after stepping and sends the (capacity-retaining) vectors
-//! back with its round result, and the coordinator restores them into the
-//! double buffer before refilling. This removes the per-round allocation
-//! churn the E10a measurement attributed most of the engine's ~1.7x
-//! message-heavy overhead to; it moves only capacity, never contents, so
-//! determinism is unaffected.
+//! Inbox vectors are *recycled* between rounds: `step_range` clears the
+//! chunk's inboxes as it steps, the worker sends the (capacity-retaining)
+//! vectors back with its round result, and the coordinator restores them
+//! into the double buffer before refilling. This removes the per-round
+//! allocation churn the E10a measurement attributed most of the engine's
+//! ~1.7x message-heavy overhead to; it moves only capacity, never contents,
+//! so determinism is unaffected.
 //!
 //! # Why the result is bit-identical to the sequential executor
 //!
@@ -272,7 +273,8 @@ fn exchange(
 }
 
 /// A persistent chunk worker: owns the program states and done-flags of its
-/// contiguous vertex range for the whole run.
+/// contiguous vertex range for the whole run, and steps them through
+/// [`Network::step_range`] — the same routine the sequential executor uses.
 fn worker<P: NodeProgram>(
     net: &Network,
     base: usize,
@@ -280,77 +282,33 @@ fn worker<P: NodeProgram>(
     rx: Receiver<ToWorker>,
     tx: Sender<Result<ChunkRound, NetworkError>>,
 ) -> Vec<P> {
-    let contexts = net.contexts();
-    let budget = net.word_budget();
     let mut done = vec![false; programs.len()];
-    // Maintained incrementally: replaces the former per-round scan of the
-    // done flags (the coordinator only needs the count).
+    // Maintained incrementally: the coordinator only needs the count.
     let mut live = programs.len();
     while let Ok(ToWorker::Round { round, mut inboxes }) = rx.recv() {
-        let mut out = ChunkRound {
-            outgoing: Vec::new(),
-            stats: RunReport::default(),
-            active: 0,
-            recycled: Vec::new(),
-        };
-        let mut error: Option<NetworkError> = None;
-        'vertices: for (i, program) in programs.iter_mut().enumerate() {
-            let v = base + i;
-            let inbox = &mut inboxes[i];
-            if done[i] && inbox.is_empty() {
-                continue;
-            }
-            // Same stable sort as the sequential executor: ties between
-            // messages of one sender keep their send order.
-            inbox.sort_by_key(|m| m.from);
-            let step = if round == 0 {
-                program.init(&contexts[v])
-            } else {
-                program.step(&contexts[v], round, inbox)
-            };
-            for outgoing in step.outgoing {
-                let to = outgoing.to;
-                if contexts[v].edge_to(to).is_none() {
-                    error = Some(NetworkError::NotANeighbor { from: v, to });
-                    break 'vertices;
+        let mut outgoing = Vec::new();
+        let mut stats = RunReport::default();
+        let reply = net
+            .step_range(
+                base,
+                &mut programs,
+                &mut done,
+                &mut inboxes,
+                round,
+                &mut stats,
+                |to, incoming| outgoing.push((to, incoming)),
+            )
+            .map(|halted| {
+                live -= halted;
+                // step_range drained the inboxes in place, so their
+                // allocations survive the round trip back.
+                ChunkRound {
+                    outgoing,
+                    stats,
+                    active: live,
+                    recycled: inboxes,
                 }
-                let words = outgoing.message.len();
-                if words > budget {
-                    error = Some(NetworkError::MessageTooLarge {
-                        from: v,
-                        to,
-                        words,
-                        budget,
-                    });
-                    break 'vertices;
-                }
-                out.stats.messages += 1;
-                out.stats.words += words as u64;
-                out.stats.max_message_words = out.stats.max_message_words.max(words as u64);
-                out.outgoing.push((
-                    to,
-                    Incoming {
-                        from: v,
-                        message: outgoing.message,
-                    },
-                ));
-            }
-            if step.done && !done[i] {
-                done[i] = true;
-                live -= 1;
-            }
-        }
-        out.active = live;
-        // Hand the drained inbox vectors back for reuse (cleared in place so
-        // their allocations survive the round trip).
-        for inbox in &mut inboxes {
-            inbox.clear();
-        }
-        out.recycled = inboxes;
-        let reply = match error {
-            None => Ok(out),
-            Some(e) => Err(e),
-        };
+            });
         if tx.send(reply).is_err() {
             break; // The coordinator is gone (it panicked); stop quietly.
         }

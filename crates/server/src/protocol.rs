@@ -395,6 +395,7 @@ mod tests {
             ("SUBMIT ring:20 x kecss auto 1", "malformed k"),
             ("SUBMIT ring:20 2 magic auto 1", "unknown algorithm"),
             ("SUBMIT ring:20 2 kecss magic 1", "unknown enumerator"),
+            ("SUBMIT ring:20 2 kecss contract 1", "unknown enumerator"),
             ("SUBMIT ring:20 2 kecss auto x", "malformed seed"),
             ("STATUS", "one job id"),
             ("STATUS seven", "malformed job id"),

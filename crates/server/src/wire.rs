@@ -107,12 +107,12 @@ const INSTANCE_RECORDS: u8 = 0;
 /// Instance-kind byte of a binary `SUBMIT`: canonical spec string.
 const INSTANCE_SPEC: u8 = 1;
 
-/// The `KGW1` enumerator-policy wire codes.
+/// The `KGW1` enumerator-policy wire codes. Code 2 is retired (it named a
+/// removed strategy) and decodes as unknown.
 pub fn enumerator_wire_code(policy: EnumeratorPolicy) -> u8 {
     match policy {
         EnumeratorPolicy::Exact => 0,
         EnumeratorPolicy::Label => 1,
-        EnumeratorPolicy::Contract => 2,
         EnumeratorPolicy::Ks => 3,
         EnumeratorPolicy::Auto => 4,
     }
@@ -124,7 +124,6 @@ pub fn enumerator_from_wire_code(code: u8) -> Option<EnumeratorPolicy> {
     Some(match code {
         0 => EnumeratorPolicy::Exact,
         1 => EnumeratorPolicy::Label,
-        2 => EnumeratorPolicy::Contract,
         3 => EnumeratorPolicy::Ks,
         4 => EnumeratorPolicy::Auto,
         _ => return None,
@@ -616,5 +615,21 @@ mod tests {
         assert!(decode_response(resp::WAIT, &wait)
             .unwrap_err()
             .contains("unknown job state"));
+        // The retired enumerator code 2 is unknown, not misread.
+        let mut retired = 2u32.to_le_bytes().to_vec();
+        retired.extend_from_slice(&[Algorithm::KEcss.wire_code(), 2, 1, 0]);
+        retired.extend_from_slice(&1u64.to_le_bytes());
+        retired.extend_from_slice(b"ring:20");
+        let err = decode_request(req::SUBMIT, 0, &retired).unwrap_err();
+        assert!(err.contains("unknown enumerator code 2"), "{err}");
+        for (policy, code) in [
+            (EnumeratorPolicy::Exact, 0),
+            (EnumeratorPolicy::Label, 1),
+            (EnumeratorPolicy::Ks, 3),
+            (EnumeratorPolicy::Auto, 4),
+        ] {
+            assert_eq!(enumerator_wire_code(policy), code, "{policy:?}");
+            assert_eq!(enumerator_from_wire_code(code), Some(policy));
+        }
     }
 }

@@ -17,9 +17,7 @@ use congest::programs::collective::{local_trees, PipelinedBroadcast, SumConverge
 use congest::programs::flood::FloodMinElection;
 use congest::{Network, NodeProgram};
 use graphs::{bfs, generators, mst, RootedTree};
-use kecss::cuts::{
-    ContractEnumerator, CutEnumerator, ExactEnumerator, KargerSteinEnumerator, LabelEnumerator,
-};
+use kecss::cuts::{CutEnumerator, ExactEnumerator, KargerSteinEnumerator, LabelEnumerator};
 use kecss_runtime::{engine, Executor};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -166,7 +164,7 @@ fn agreement_graph(shape: u8, seed: u64) -> (&'static str, graphs::Graph) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The general label enumerator and the contraction enumerator agree
+    /// The general label enumerator and the Karger–Stein enumerator agree
     /// with the legacy size-1..=3 specializations on seeded
     /// random/ring/torus/harary graphs: after exact verification all three
     /// report exactly the induced cuts of each size.
@@ -181,9 +179,9 @@ proptest! {
         let exec = Executor::Sequential;
         let exact = ExactEnumerator.cuts(&g, &h, size, 0, &exec).unwrap();
         let by_label = LabelEnumerator::default().cuts(&g, &h, size, 0, &exec).unwrap();
-        let by_contract = ContractEnumerator::default().cuts(&g, &h, size, 0, &exec).unwrap();
+        let by_ks = KargerSteinEnumerator::default().cuts(&g, &h, size, 0, &exec).unwrap();
         prop_assert_eq!(&by_label, &exact, "label vs exact on {} size {}", label, size);
-        prop_assert_eq!(&by_contract, &exact, "contract vs exact on {} size {}", label, size);
+        prop_assert_eq!(&by_ks, &exact, "ks vs exact on {} size {}", label, size);
     }
 
     /// `Threaded(4)` enumeration is bit-identical to `Sequential` for every
@@ -194,11 +192,8 @@ proptest! {
         let h = g.full_edge_set();
         let threaded = Executor::from_threads(4);
         for size in 1..=4usize {
-            let enumerators: [&dyn CutEnumerator; 3] = [
-                &LabelEnumerator::default(),
-                &ContractEnumerator::default(),
-                &KargerSteinEnumerator::default(),
-            ];
+            let enumerators: [&dyn CutEnumerator; 2] =
+                [&LabelEnumerator::default(), &KargerSteinEnumerator::default()];
             for e in enumerators {
                 let sequential = e.cuts(&g, &h, size, 0, &Executor::Sequential).unwrap();
                 let parallel = e.cuts(&g, &h, size, 0, &threaded).unwrap();
