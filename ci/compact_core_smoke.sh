@@ -4,7 +4,9 @@
 # instance directly in binary format, converts it to text and back, solves
 # --k 2 from BOTH formats (thurimella sparse certificate + exact linear-time
 # 2-edge-connectivity verification), and requires the two solution files to
-# be byte-identical — the bit-determinism contract of DESIGN.md §10.
+# be byte-identical — the bit-determinism contract of DESIGN.md §10. It also
+# solves the instance with the paper's 2-ECSS, whose round accounting must
+# stay off the all-pairs diameter above the exact-diameter cap.
 set -euo pipefail
 
 # shellcheck source=ci/lib.sh
@@ -30,6 +32,12 @@ grep -q "2-edge-connected ✓" "${WORKDIR}/solve.out" \
   || { echo "binary-format solve did not certify"; exit 1; }
 "${KECSS}" solve --input "${WORKDIR}/big.graph" --algorithm thurimella --k 2 \
   --output "${WORKDIR}/from-text.edges" >/dev/null
+
+echo "== solving --k 2 with the paper's 2-ECSS (Theorem 1.1)"
+"${KECSS}" solve --input "${WORKDIR}/big.graphb" --algorithm 2ecss --k 2 \
+  --output "${WORKDIR}/2ecss.edges" | tee "${WORKDIR}/2ecss.out"
+grep -q "2-edge-connected ✓" "${WORKDIR}/2ecss.out" \
+  || { echo "2ecss solve did not certify"; exit 1; }
 
 echo "== checking bit-determinism across formats"
 cmp "${WORKDIR}/from-binary.edges" "${WORKDIR}/from-text.edges" \

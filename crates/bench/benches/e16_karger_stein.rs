@@ -72,8 +72,7 @@ fn print_series() {
     let g = generators::hypercube(8, 1);
     let start = Instant::now();
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-    let sol = kecss::kecss::solve_with_exec(&g, 8, &mut rng, &Executor::Sequential)
-        .expect("Q_8 is 8-edge-connected");
+    let sol = kecss::kecss::solve(&g, 8, &mut rng).expect("Q_8 is 8-edge-connected");
     let solve_ms = start.elapsed().as_millis();
     table.push([
         "Q_8 solve k=8".to_string(),

@@ -70,8 +70,8 @@ fn e10_kecss_solve(samples: usize) -> Measurement {
         name: "e10_parallel_scaling/kecss_k4_random48",
         median_ns: median_ns(samples, || {
             let mut solve_rng = ChaCha8Rng::seed_from_u64(7);
-            let sol = kecss::kecss::solve_with_exec(&g, 4, &mut solve_rng, &Executor::Sequential)
-                .expect("instance is 4-edge-connected");
+            let sol =
+                kecss::kecss::solve(&g, 4, &mut solve_rng).expect("instance is 4-edge-connected");
             assert!(!sol.subgraph.is_empty());
         }),
         samples,

@@ -38,6 +38,17 @@ impl CostModel {
         CostModel { n, diameter }
     }
 
+    /// The cost model of `graph` as a network: its accounting diameter
+    /// ([`graphs::bfs::diameter_hint`], computed once per frozen graph), or
+    /// `n` when it is disconnected. Every solver default and the verifier
+    /// charge against this one model, so they agree on `D`.
+    pub fn for_graph(graph: &graphs::Graph) -> Self {
+        CostModel::new(
+            graph.n(),
+            graphs::bfs::diameter_hint(graph).unwrap_or(graph.n()),
+        )
+    }
+
     /// `⌈√n⌉`, the segment/fragment size parameter used throughout Section 3.
     pub fn sqrt_n(&self) -> u64 {
         (self.n as f64).sqrt().ceil() as u64
@@ -195,6 +206,16 @@ mod tests {
         assert_eq!(m.segment_scan(0), 1);
         assert_eq!(m.segment_scan(12), 12);
         assert_eq!(m.cycle_space_labelling(7), 8);
+    }
+
+    #[test]
+    fn cost_model_for_graph_uses_the_accounting_diameter() {
+        let g = graphs::generators::cycle(9, 1);
+        let d = graphs::bfs::diameter(&g).unwrap();
+        assert_eq!(CostModel::for_graph(&g), CostModel::new(g.n(), d));
+        // A disconnected graph falls back to `D = n`.
+        let g = graphs::Graph::new(5);
+        assert_eq!(CostModel::for_graph(&g), CostModel::new(5, 5));
     }
 
     #[test]

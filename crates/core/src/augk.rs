@@ -117,7 +117,9 @@ impl ProbabilitySchedule {
 }
 
 /// Augments the `(k-1)`-edge-connected spanning subgraph `h` of `graph` to
-/// k-edge-connectivity, inferring the cost model from the graph diameter.
+/// k-edge-connectivity with the graph's cost model
+/// ([`CostModel::for_graph`]), sequentially, with the default
+/// [`AutoEnumerator`] cut strategy.
 ///
 /// # Errors
 ///
@@ -128,62 +130,22 @@ impl ProbabilitySchedule {
 /// * [`Error::InsufficientConnectivity`] if `graph` itself is not
 ///   k-edge-connected.
 pub fn augment<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -> Result<AugkSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    augment_with_model(graph, h, k, CostModel::new(graph.n(), diameter), rng)
+    augment_with_enumerator(
+        graph,
+        h,
+        k,
+        CostModel::for_graph(graph),
+        rng,
+        &Executor::Sequential,
+        &AutoEnumerator::default(),
+    )
 }
 
-/// Same as [`augment`], running the cut enumeration/verification and the
-/// per-candidate coverage counting through `exec`. Those computations are
-/// pure (they never touch `rng`), so for a fixed seed the result is
-/// bit-identical to [`augment`] for every executor.
-///
-/// # Errors
-///
-/// Same conditions as [`augment`].
-pub fn augment_with_exec<R: Rng>(
-    graph: &Graph,
-    h: &EdgeSet,
-    k: usize,
-    rng: &mut R,
-    exec: &Executor,
-) -> Result<AugkSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    augment_with_model_exec(graph, h, k, CostModel::new(graph.n(), diameter), rng, exec)
-}
-
-/// Same as [`augment`] with an explicit cost model.
-///
-/// # Errors
-///
-/// Same conditions as [`augment`].
-pub fn augment_with_model<R: Rng>(
-    graph: &Graph,
-    h: &EdgeSet,
-    k: usize,
-    model: CostModel,
-    rng: &mut R,
-) -> Result<AugkSolution> {
-    augment_with_model_exec(graph, h, k, model, rng, &Executor::Sequential)
-}
-
-/// The most general entry point: explicit cost model *and* executor, with
-/// the default [`AutoEnumerator`] cut strategy.
-///
-/// # Errors
-///
-/// Same conditions as [`augment`].
-pub fn augment_with_model_exec<R: Rng>(
-    graph: &Graph,
-    h: &EdgeSet,
-    k: usize,
-    model: CostModel,
-    rng: &mut R,
-    exec: &Executor,
-) -> Result<AugkSolution> {
-    augment_with_enumerator(graph, h, k, model, rng, exec, &AutoEnumerator::default())
-}
-
-/// [`augment_with_model_exec`] with an explicit [`CutEnumerator`] strategy.
+/// The general entry point: explicit cost model, executor *and*
+/// [`CutEnumerator`] strategy. `exec` runs the cut enumeration/verification
+/// and the per-candidate coverage counting, which are pure (they never touch
+/// `rng`), so for a fixed seed the result is bit-identical for every
+/// executor.
 ///
 /// Randomized enumerators (contraction) may miss cuts; this driver is
 /// nevertheless *exact*: after the covering loop it certifies
@@ -516,13 +478,12 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(33);
         let g = generators::random_k_edge_connected(12, 5, 8, &mut rng);
         let h = baselines::thurimella::sparse_certificate(&g, 4).edges;
-        let model = CostModel::new(g.n(), graphs::bfs::diameter(&g).unwrap_or(g.n()));
         let enumerator = KargerSteinEnumerator::with_repetitions(1);
         let sol = augment_with_enumerator(
             &g,
             &h,
             5,
-            model,
+            CostModel::for_graph(&g),
             &mut rng,
             &Executor::Sequential,
             &enumerator,
@@ -646,7 +607,16 @@ mod tests {
         for threads in [2, 4, 8] {
             let mut rng = ChaCha8Rng::seed_from_u64(99);
             let exec = Executor::from_threads(threads);
-            let parallel = augment_with_exec(&g, &h, 2, &mut rng, &exec).unwrap();
+            let parallel = augment_with_enumerator(
+                &g,
+                &h,
+                2,
+                CostModel::for_graph(&g),
+                &mut rng,
+                &exec,
+                &AutoEnumerator::default(),
+            )
+            .unwrap();
             assert_eq!(parallel.added, sequential.added, "t = {threads}");
             assert_eq!(parallel.weight, sequential.weight, "t = {threads}");
             assert_eq!(parallel.iterations, sequential.iterations, "t = {threads}");

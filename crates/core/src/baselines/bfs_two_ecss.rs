@@ -1,5 +1,5 @@
 //! The `O(D)`-round 2-approximation for *unweighted* 2-ECSS of
-//! Censor-Hillel & Dory ([1] in the paper).
+//! Censor-Hillel & Dory (\[1\] in the paper).
 //!
 //! Build a BFS tree `T`, then cover every tree edge: processing vertices
 //! bottom-up, an uncovered tree edge `{v, p(v)}` is covered by adding the
@@ -46,8 +46,7 @@ impl From<BfsTwoEcssSolution> for BaselineSolution {
 /// Panics if the graph is not 2-edge-connected (some tree edge cannot be
 /// covered).
 pub fn solve(graph: &Graph) -> BfsTwoEcssSolution {
-    let diameter = bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model(graph, CostModel::new(graph.n(), diameter))
+    solve_with_model(graph, CostModel::for_graph(graph))
 }
 
 /// Same as [`solve`] with an explicit cost model.

@@ -136,26 +136,16 @@ pub fn augment_cuts(graph: &Graph, h: &EdgeSet, family: &CutFamily) -> BaselineS
 ///
 /// Panics if the graph is not k-edge-connected or the cut enumeration fails.
 pub fn k_ecss(graph: &Graph, k: usize) -> BaselineSolution {
-    k_ecss_with_exec(graph, k, &kecss_runtime::Executor::Sequential)
+    k_ecss_with_enumerator(
+        graph,
+        k,
+        &kecss_runtime::Executor::Sequential,
+        &AutoEnumerator::default(),
+    )
+    .expect("greedy k-ECSS on a k-edge-connected graph cannot fail with the auto enumerator")
 }
 
-/// Same as [`k_ecss`], running the per-level cut enumeration through `exec`.
-/// Bit-identical to [`k_ecss`] for every executor (the greedy selection
-/// itself is deterministic and stays sequential).
-///
-/// # Panics
-///
-/// Same conditions as [`k_ecss`].
-pub fn k_ecss_with_exec(
-    graph: &Graph,
-    k: usize,
-    exec: &kecss_runtime::Executor,
-) -> BaselineSolution {
-    k_ecss_with_enumerator(graph, k, exec, &AutoEnumerator::default())
-        .expect("greedy k-ECSS on a k-edge-connected graph cannot fail with the auto enumerator")
-}
-
-/// The most general greedy entry point: explicit executor and
+/// The general greedy entry point: explicit executor and
 /// [`CutEnumerator`] strategy. Like `Aug_k`, each level's cover is certified
 /// exactly and re-enumerated with a fresh salt if a randomized enumerator
 /// missed a cut, so the returned subgraph is always genuinely

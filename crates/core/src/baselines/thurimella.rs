@@ -1,5 +1,5 @@
 //! Thurimella's sparse-certificate 2-approximation for unweighted k-ECSS
-//! ([36] in the paper).
+//! (\[36\] in the paper).
 //!
 //! Repeatedly compute a maximal spanning forest of the remaining graph and
 //! remove its edges; the union of the first `k` forests is k-edge-connected
@@ -40,13 +40,9 @@ impl From<ThurimellaSolution> for BaselineSolution {
 
 /// Computes the union of `k` successive maximal spanning forests of `graph`.
 ///
-/// The cost model's diameter comes from [`graphs::bfs::diameter_hint`]:
-/// exact on test/bench-sized instances, double-sweep approximate beyond
-/// 4096 vertices so that ≥10⁵-vertex instances stay forest-bound instead of
-/// all-pairs-BFS-bound.
+/// The cost model is [`CostModel::for_graph`], like every other solver's.
 pub fn sparse_certificate(graph: &Graph, k: usize) -> ThurimellaSolution {
-    let diameter = graphs::bfs::diameter_hint(graph).unwrap_or(graph.n());
-    sparse_certificate_with_model(graph, k, CostModel::new(graph.n(), diameter))
+    sparse_certificate_with_model(graph, k, CostModel::for_graph(graph))
 }
 
 /// Same as [`sparse_certificate`] with an explicit cost model.

@@ -41,8 +41,9 @@ pub struct KEcssSolution {
     pub ledger: RoundLedger,
 }
 
-/// Solves weighted k-ECSS on `graph`, inferring the cost model from the
-/// graph's diameter.
+/// Solves weighted k-ECSS on `graph` with the graph's cost model
+/// ([`CostModel::for_graph`]), sequentially, with the default
+/// [`AutoEnumerator`] cut strategy.
 ///
 /// # Errors
 ///
@@ -50,84 +51,21 @@ pub struct KEcssSolution {
 ///   [`CutEnumerator`] strategies lifted the former `k <= 4` cap);
 /// * [`Error::InsufficientConnectivity`] if the graph is not k-edge-connected.
 pub fn solve<R: Rng>(graph: &Graph, k: usize, rng: &mut R) -> Result<KEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model(graph, k, CostModel::new(graph.n(), diameter), rng)
-}
-
-/// Same as [`solve`], running the per-level cut verification through `exec`
-/// (see [`augk::augment_with_exec`]). Bit-identical to [`solve`] for a fixed
-/// seed, for every executor.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub fn solve_with_exec<R: Rng>(
-    graph: &Graph,
-    k: usize,
-    rng: &mut R,
-    exec: &Executor,
-) -> Result<KEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model_exec(graph, k, CostModel::new(graph.n(), diameter), rng, exec)
-}
-
-/// Same as [`solve_with_exec`] with an explicit [`CutEnumerator`] strategy,
-/// inferring the cost model from the graph diameter (the CLI's entry point).
-///
-/// # Errors
-///
-/// Same conditions as [`solve`], plus whatever the enumerator reports.
-pub fn solve_with_exec_enumerator<R: Rng>(
-    graph: &Graph,
-    k: usize,
-    rng: &mut R,
-    exec: &Executor,
-    enumerator: &dyn CutEnumerator,
-) -> Result<KEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
     solve_with_enumerator(
         graph,
         k,
-        CostModel::new(graph.n(), diameter),
+        CostModel::for_graph(graph),
         rng,
-        exec,
-        enumerator,
+        &Executor::Sequential,
+        &AutoEnumerator::default(),
     )
 }
 
-/// Same as [`solve`] with an explicit cost model.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub fn solve_with_model<R: Rng>(
-    graph: &Graph,
-    k: usize,
-    model: CostModel,
-    rng: &mut R,
-) -> Result<KEcssSolution> {
-    solve_with_model_exec(graph, k, model, rng, &Executor::Sequential)
-}
-
-/// Explicit cost model *and* executor, with the default [`AutoEnumerator`]
-/// cut strategy.
-///
-/// # Errors
-///
-/// Same conditions as [`solve`].
-pub fn solve_with_model_exec<R: Rng>(
-    graph: &Graph,
-    k: usize,
-    model: CostModel,
-    rng: &mut R,
-    exec: &Executor,
-) -> Result<KEcssSolution> {
-    solve_with_enumerator(graph, k, model, rng, exec, &AutoEnumerator::default())
-}
-
-/// The most general entry point: explicit cost model, executor *and*
+/// The general entry point: explicit cost model, executor *and*
 /// [`CutEnumerator`] strategy (see [`augk::augment_with_enumerator`] for how
-/// randomized strategies are certified exact).
+/// randomized strategies are certified exact). `exec` parallelizes the
+/// per-level cut verification only, so the result is bit-identical for
+/// every executor.
 ///
 /// # Errors
 ///

@@ -7,7 +7,7 @@
 //! cycle-space sampling:
 //!
 //! 1. Build a 2-edge-connected subgraph `H`: the `O(D)`-round unweighted
-//!    2-ECSS 2-approximation of [1] for the unweighted problem, or
+//!    2-ECSS 2-approximation of \[1\] for the unweighted problem, or
 //!    MST + weighted TAP (Theorem 1.1) for the weighted variant.
 //! 2. Repeatedly: sample an `O(log n)`-bit circulation of `H ∪ A` over the
 //!    spanning tree `T` of `H` (`O(depth(T))` rounds), from which every edge
@@ -63,8 +63,7 @@ pub struct ThreeEcssSolution {
 /// Returns [`Error::InsufficientConnectivity`] if the graph is not
 /// 3-edge-connected.
 pub fn solve<R: Rng>(graph: &Graph, rng: &mut R) -> Result<ThreeEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model(graph, CostModel::new(graph.n(), diameter), rng)
+    solve_with_model(graph, CostModel::for_graph(graph), rng)
 }
 
 /// Same as [`solve`] with an explicit cost model.
@@ -119,20 +118,7 @@ pub fn solve_with_model<R: Rng>(
 /// Returns [`Error::InsufficientConnectivity`] if the graph is not
 /// 3-edge-connected.
 pub fn solve_weighted<R: Rng>(graph: &Graph, rng: &mut R) -> Result<ThreeEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_weighted_with_model(graph, CostModel::new(graph.n(), diameter), rng)
-}
-
-/// Same as [`solve_weighted`] with an explicit cost model.
-///
-/// # Errors
-///
-/// Same conditions as [`solve_weighted`].
-pub fn solve_weighted_with_model<R: Rng>(
-    graph: &Graph,
-    model: CostModel,
-    rng: &mut R,
-) -> Result<ThreeEcssSolution> {
+    let model = CostModel::for_graph(graph);
     // Phase spans are observational only (DESIGN.md §11).
     let _solve_span = kecss_obs::span("solve");
     {

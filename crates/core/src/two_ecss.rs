@@ -36,8 +36,7 @@ pub struct TwoEcssSolution {
 /// Returns [`Error::InsufficientConnectivity`] if the input graph is not
 /// 2-edge-connected (no 2-ECSS exists).
 pub fn solve<R: Rng>(graph: &Graph, rng: &mut R) -> Result<TwoEcssSolution> {
-    let diameter = graphs::bfs::diameter(graph).unwrap_or(graph.n());
-    solve_with_model(graph, CostModel::new(graph.n(), diameter), rng)
+    solve_with_model(graph, CostModel::for_graph(graph), rng)
 }
 
 /// Solves weighted 2-ECSS with an explicit CONGEST cost model.

@@ -108,7 +108,7 @@ pub fn verify_exact<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -
         2 => verify_two_edge_connected(graph, h, rng),
         3 => verify_three_edge_connected(graph, h, rng),
         _ => {
-            let model = default_model(graph);
+            let model = CostModel::for_graph(graph);
             let mut ledger = RoundLedger::new(model);
             ledger.charge("verify/exact_fallback", model.broadcast(h.len() as u64));
             Verdict {
@@ -127,13 +127,6 @@ pub fn verify_exact<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -
     verdict
 }
 
-fn default_model(graph: &Graph) -> CostModel {
-    // diameter_hint: exact on test-sized graphs, double-sweep beyond 4096
-    // vertices (a server job may legitimately be 10⁵-vertex scale).
-    let diameter = graphs::bfs::diameter_hint(graph).unwrap_or(graph.n());
-    CostModel::new(graph.n(), diameter)
-}
-
 fn label<R: Rng>(
     graph: &Graph,
     h: &EdgeSet,
@@ -143,7 +136,7 @@ fn label<R: Rng>(
         connectivity::is_connected_in(graph, h),
         "verification requires a connected spanning subgraph"
     );
-    let model = default_model(graph);
+    let model = CostModel::for_graph(graph);
     let mut ledger = RoundLedger::new(model);
     let bfs = graphs::bfs::bfs_in(graph, h, 0);
     let tree = RootedTree::new(graph, &bfs.tree_edges(graph), 0);

@@ -154,18 +154,24 @@ pub fn approx_diameter(graph: &Graph) -> Option<usize> {
 /// diameter; above it, the double-sweep 2-approximation is used.
 pub const EXACT_DIAMETER_MAX_N: usize = 4096;
 
-/// A diameter figure for round-*accounting* purposes: exact (one BFS per
-/// vertex) up to [`EXACT_DIAMETER_MAX_N`] vertices — which covers every test
-/// and benchmark instance — and the [`approx_diameter`] double sweep beyond,
-/// where `O(n · m)` exact computation would dominate the solve itself
-/// (charged CONGEST rounds stay within a factor 2 of the exact-`D` charge).
-/// Deterministic for a given graph. Returns `None` when disconnected.
+/// The accounting diameter: the one `D` every solver and the verifier charge
+/// CONGEST rounds against. Exact (one BFS per vertex) up to
+/// [`EXACT_DIAMETER_MAX_N`] vertices — which covers every test and benchmark
+/// instance — and the [`approx_diameter`] double sweep beyond, where
+/// `O(n · m)` exact computation would dominate the solve itself (charged
+/// CONGEST rounds stay within a factor 2 of the exact-`D` charge).
+///
+/// Computed once per frozen graph: the value is memoized beside the CSR and
+/// dropped by [`Graph::add_edge`]. Deterministic for a given graph. Returns
+/// `None` when disconnected.
 pub fn diameter_hint(graph: &Graph) -> Option<usize> {
-    if graph.n() <= EXACT_DIAMETER_MAX_N {
-        diameter(graph)
-    } else {
-        approx_diameter(graph)
-    }
+    *graph.diameter_memo().get_or_init(|| {
+        if graph.n() <= EXACT_DIAMETER_MAX_N {
+            diameter(graph)
+        } else {
+            approx_diameter(graph)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -212,6 +218,13 @@ mod tests {
         let p = generators::path(8, 1);
         assert_eq!(diameter(&p), Some(7));
         assert_eq!(approx_diameter(&p), Some(7));
+        // The memoized accounting diameter agrees, on the first and the
+        // memoized call alike.
+        for g in [&c, &p] {
+            for _ in 0..2 {
+                assert_eq!(diameter_hint(g), diameter(g));
+            }
+        }
     }
 
     #[test]

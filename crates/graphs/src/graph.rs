@@ -111,6 +111,9 @@ struct Csr {
     /// `(neighbor, edge id)` pairs, grouped by vertex, edge-id order within a
     /// vertex.
     entries: Vec<(NodeId, EdgeId)>,
+    /// The accounting diameter, filled by [`crate::bfs::diameter_hint`]. It
+    /// lives beside the adjacency so `add_edge` drops both at once.
+    diameter: OnceLock<Option<usize>>,
 }
 
 impl Csr {
@@ -134,7 +137,11 @@ impl Csr {
             entries[cursor[e.v]] = (e.u, EdgeId(i));
             cursor[e.v] += 1;
         }
-        Csr { offsets, entries }
+        Csr {
+            offsets,
+            entries,
+            diameter: OnceLock::new(),
+        }
     }
 }
 
@@ -149,10 +156,11 @@ impl Csr {
 /// The edge list is the source of truth; adjacency is served from a frozen
 /// CSR built on the first call to [`Graph::neighbors`] / [`Graph::degree`] /
 /// [`Graph::find_edge`] (or eagerly via [`Graph::freeze`]) and **invalidated
-/// by [`Graph::add_edge`]**. Build-then-query workloads — every workload in
-/// this workspace — therefore build the CSR exactly once; interleaving
-/// `add_edge` with adjacency queries is correct but rebuilds the CSR per
-/// interleaving and should be avoided on hot paths.
+/// by [`Graph::add_edge`]**, together with the accounting diameter memoized
+/// beside it (see [`crate::bfs::diameter_hint`]). Build-then-query workloads
+/// — every workload in this workspace — therefore build the CSR exactly once;
+/// interleaving `add_edge` with adjacency queries is correct but rebuilds the
+/// CSR per interleaving and should be avoided on hot paths.
 ///
 /// # Example
 ///
@@ -210,7 +218,11 @@ impl Graph {
         debug_assert_eq!(offsets.len(), n + 1);
         debug_assert_eq!(entries.len(), 2 * edges.len());
         let csr = OnceLock::new();
-        let _ = csr.set(Csr { offsets, entries });
+        let _ = csr.set(Csr {
+            offsets,
+            entries,
+            diameter: OnceLock::new(),
+        });
         Graph { n, edges, csr }
     }
 
@@ -245,7 +257,8 @@ impl Graph {
 
     /// Adds the undirected edge `{u, v}` with the given weight and returns its id.
     ///
-    /// Invalidates the frozen adjacency (rebuilt on the next query).
+    /// Invalidates the frozen adjacency (rebuilt on the next query) and the
+    /// memoized accounting diameter.
     ///
     /// # Panics
     ///
@@ -281,6 +294,11 @@ impl Graph {
     #[inline]
     fn csr(&self) -> &Csr {
         self.csr.get_or_init(|| Csr::build(self.n, &self.edges))
+    }
+
+    /// The memo slot of [`crate::bfs::diameter_hint`] for the current freeze.
+    pub(crate) fn diameter_memo(&self) -> &OnceLock<Option<usize>> {
+        &self.csr().diameter
     }
 
     /// The edge with the given id.
@@ -713,6 +731,11 @@ mod tests {
         assert_eq!(g, h);
         h.freeze();
         assert_eq!(g, h);
+        // The memoized accounting diameter is dropped with the CSR.
+        let mut p = Graph::from_edges(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        assert_eq!(crate::bfs::diameter_hint(&p), Some(3));
+        p.add_edge(3, 0, 1);
+        assert_eq!(crate::bfs::diameter_hint(&p), Some(2));
     }
 
     #[test]

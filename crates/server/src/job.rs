@@ -12,6 +12,7 @@
 //! freely, but it never touches the bytes (DESIGN.md §9).
 
 use crate::instance::InstanceSpec;
+use congest::CostModel;
 use graphs::{mst, EdgeSet, Graph};
 use kecss::baselines::{greedy, thurimella};
 use kecss::cuts::EnumeratorPolicy;
@@ -183,9 +184,10 @@ pub fn dispatch(
         }
         Algorithm::KEcss => {
             let enumerator = policy.build();
-            let sol = kecss_alg::solve_with_exec_enumerator(
+            let sol = kecss_alg::solve_with_enumerator(
                 graph,
                 k,
+                CostModel::for_graph(graph),
                 &mut rng,
                 exec,
                 enumerator.as_ref(),

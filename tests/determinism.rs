@@ -8,16 +8,18 @@
 //! circulation) on seeded random graphs, plus a property test for the cut
 //! machinery, plus the service-layer promise: result payloads produced by the
 //! `kecss_server` scheduler under concurrent submission are byte-identical to
-//! the same jobs run sequentially through `kecss::solve_with_exec`.
+//! the same jobs run sequentially through `kecss::solve`.
 
 use congest::programs::bfs::DistributedBfs;
 use congest::programs::boruvka::DistributedBoruvka;
 use congest::programs::circulation::CirculationLabeling;
 use congest::programs::collective::{local_trees, PipelinedBroadcast, SumConvergecast};
 use congest::programs::flood::FloodMinElection;
-use congest::{Network, NodeProgram};
+use congest::{CostModel, Network, NodeProgram};
 use graphs::{bfs, generators, mst, RootedTree};
-use kecss::cuts::{CutEnumerator, ExactEnumerator, KargerSteinEnumerator, LabelEnumerator};
+use kecss::cuts::{
+    AutoEnumerator, CutEnumerator, ExactEnumerator, KargerSteinEnumerator, LabelEnumerator,
+};
 use kecss_runtime::{engine, Executor};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -269,7 +271,7 @@ proptest! {
 
     /// N concurrent submissions through the `kecss_server` scheduler produce
     /// byte-identical result payloads to the same jobs run sequentially
-    /// through `kecss::solve_with_exec` (DESIGN.md §9): the scheduler's
+    /// through `kecss::solve` (DESIGN.md §9): the scheduler's
     /// worker count and dispatch interleaving never reach the bytes.
     #[test]
     fn concurrent_service_jobs_match_sequential_solves(
@@ -293,20 +295,19 @@ proptest! {
             .collect();
 
         // Sequential ground truth: build the instance, run the solver through
-        // `solve_with_exec` directly, verify, and encode with the same pure
+        // `solve` directly, verify, and encode with the same pure
         // encoder the service uses.
         let expected: Vec<Vec<u8>> = specs
             .iter()
             .map(|spec| {
                 let g = spec.instance.build(spec.k, spec.seed).unwrap();
                 let mut rng = ChaCha8Rng::seed_from_u64(spec.seed ^ job::SOLVER_SEED_SALT);
-                let sol = kecss::kecss::solve_with_exec(&g, spec.k, &mut rng, &Executor::Sequential)
-                    .unwrap();
+                let sol = kecss::kecss::solve(&g, spec.k, &mut rng).unwrap();
                 prop_assert!(graphs::connectivity::is_k_edge_connected_in(
                     &g, &sol.subgraph, spec.k
                 ));
                 let payload = job::run(spec, &Executor::Sequential).unwrap();
-                // The payload embeds exactly the `solve_with_exec` solution.
+                // The payload embeds exactly the `solve` solution.
                 let text = String::from_utf8(payload.clone()).unwrap();
                 prop_assert!(
                     text.contains(&format!(
@@ -314,7 +315,7 @@ proptest! {
                         sol.subgraph.len(),
                         sol.weight
                     )),
-                    "payload does not embed the solve_with_exec solution: {}",
+                    "payload does not embed the solve solution: {}",
                     text
                 );
                 Ok(payload)
@@ -452,7 +453,16 @@ proptest! {
         for threads in THREAD_COUNTS {
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
             let exec = Executor::from_threads(threads);
-            let parallel = kecss::augk::augment_with_exec(&g, &h, 2, &mut rng, &exec).unwrap();
+            let parallel = kecss::augk::augment_with_enumerator(
+                &g,
+                &h,
+                2,
+                CostModel::for_graph(&g),
+                &mut rng,
+                &exec,
+                &AutoEnumerator::default(),
+            )
+            .unwrap();
             prop_assert_eq!(&parallel.added, &sequential.added, "t = {}", threads);
             prop_assert_eq!(parallel.weight, sequential.weight, "t = {}", threads);
             prop_assert_eq!(parallel.iterations, sequential.iterations, "t = {}", threads);
