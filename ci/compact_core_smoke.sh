@@ -6,7 +6,8 @@
 # 2-edge-connectivity verification), and requires the two solution files to
 # be byte-identical — the bit-determinism contract of DESIGN.md §10. It also
 # solves the instance with the paper's 2-ECSS, whose round accounting must
-# stay off the all-pairs diameter above the exact-diameter cap.
+# stay off the all-pairs diameter above the exact-diameter cap, and runs the
+# paper's unweighted and weighted 3-ECSS (Section 5) on a 400-vertex torus.
 set -euo pipefail
 
 # shellcheck source=ci/lib.sh
@@ -46,5 +47,15 @@ cmp "${WORKDIR}/from-binary.edges" "${WORKDIR}/from-text.edges" \
 echo "== verifying the solution against the binary instance"
 "${KECSS}" verify --input "${WORKDIR}/big.graphb" \
   --solution "${WORKDIR}/from-binary.edges" --k 2
+
+echo "== solving a 400-vertex torus with the paper's 3-ECSS (Theorem 1.3, Section 5.4)"
+"${KECSS}" generate --family torus --n 400 --k 3 --seed 5 \
+  --output "${WORKDIR}/torus.graph"
+for algorithm in 3ecss 3ecss-weighted; do
+  "${KECSS}" solve --input "${WORKDIR}/torus.graph" --algorithm "${algorithm}" --k 3 \
+    --output "${WORKDIR}/torus-${algorithm}.edges" | tee "${WORKDIR}/${algorithm}.out"
+  grep -q "3-edge-connected ✓" "${WORKDIR}/${algorithm}.out" \
+    || { echo "${algorithm} solve did not certify"; exit 1; }
+done
 
 echo "== compact-core smoke OK"

@@ -53,18 +53,23 @@ impl Circulation {
         } else {
             (1u64 << bits) - 1
         };
+        for c in tree.edge_children() {
+            let t = tree
+                .parent_edge(c)
+                .expect("non-root vertex has a parent edge");
+            assert!(h.contains(t), "tree edge outside H");
+        }
         let mut labels: Vec<Option<u64>> = vec![None; graph.m()];
         // Accumulate, per vertex, the XOR of the labels of incident non-tree edges.
         let mut acc = vec![0u64; graph.n()];
-        let tree_edges = tree.edge_set(graph);
         for id in h.iter() {
-            if tree_edges.contains(id) {
-                assert!(h.contains(id), "tree edge outside H");
+            // A tree edge is the parent edge of one of its endpoints.
+            let e = graph.edge(id);
+            if tree.parent_edge(e.u) == Some(id) || tree.parent_edge(e.v) == Some(id) {
                 continue;
             }
             let label = rng.gen::<u64>() & mask;
             labels[id.index()] = Some(label);
-            let e = graph.edge(id);
             acc[e.u] ^= label;
             acc[e.v] ^= label;
         }
@@ -407,6 +412,17 @@ mod tests {
         let g = generators::path(9, 1);
         let tree = spanning_tree(&g, &g.full_edge_set());
         assert_eq!(labelling_rounds(&tree), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "tree edge outside H")]
+    fn tree_edge_outside_h_rejected() {
+        let g = generators::cycle(5, 1);
+        let tree = spanning_tree(&g, &g.full_edge_set());
+        let mut h = g.full_edge_set();
+        h.remove(tree.parent_edge(1).expect("vertex 1 has a parent edge"));
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        Circulation::sample(&g, &h, &tree, 64, &mut rng);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::cycle_space::{labelling_rounds, Circulation};
 use crate::error::{Error, Result};
 use crate::tap;
 use congest::{CostModel, RoundLedger};
-use graphs::{connectivity, EdgeSet, Graph, NodeId, RootedTree};
+use graphs::{connectivity, EdgeId, EdgeSet, Graph, NodeId, RootedTree};
 use rand::Rng;
 
 /// Safety cap on iterations (`O(log³ n)` expected).
@@ -185,10 +185,30 @@ fn assemble(
     }
 }
 
+/// A candidate edge `e = {u, v} ∉ H` of the Section 5.3 loop, with the LCA
+/// of its endpoints in the spanning tree: its fundamental path is the walk
+/// from `u` and from `v` up to `lca`.
+struct Candidate {
+    id: EdgeId,
+    u: u32,
+    v: u32,
+    lca: u32,
+    weight: u64,
+}
+
+/// Marks a tree edge whose label is unique in `H ∪ A` (`n_φ = 1`): it lies in
+/// no cut pair and adds 0 to every `ρ(e)`.
+const UNIQUE: u32 = u32::MAX;
+
 /// The Section 5.3 augmentation loop: cover every cut pair of `h ∪ A` using
 /// circulation labels over `tree` (a spanning tree of `h`). Returns the added
 /// edges and the iteration count; charges per-iteration costs proportional to
 /// the tree depth to `ledger`.
+///
+/// Each iteration allocates nothing per candidate: the parent pointers and
+/// every candidate's LCA are computed once per solve, and the per-iteration
+/// label counts live in dense arrays indexed by vertex (the tree edge
+/// `{c, parent(c)}`) and by label class (DESIGN.md §4).
 fn augment_to_three<R: Rng>(
     graph: &Graph,
     h: &EdgeSet,
@@ -203,15 +223,51 @@ fn augment_to_three<R: Rng>(
     // penalty of the weighted variant).
     let depth_rounds = labelling_rounds(tree);
 
-    let candidates_pool: Vec<(graphs::EdgeId, NodeId, NodeId, u64)> = graph
+    // Vertex ids, label-class positions (< |H ∪ A| ≤ m) and label counts are
+    // stored as `u32` below.
+    assert!(
+        u32::try_from(graph.n().max(graph.m())).is_ok(),
+        "3-ECSS needs fewer than 2^32 vertices and edges"
+    );
+    let parent: Vec<u32> = (0..graph.n())
+        .map(|v| tree.parent(v).unwrap_or(v) as u32)
+        .collect();
+    let tree_edges: Vec<(NodeId, EdgeId)> = tree
+        .edge_children()
+        .map(|c| {
+            let t = tree
+                .parent_edge(c)
+                .expect("non-root child has a parent edge");
+            (c, t)
+        })
+        .collect();
+    let mut candidates: Vec<Candidate> = graph
         .edges()
         .filter(|(id, _)| !h.contains(*id))
-        .map(|(id, e)| (id, e.u, e.v, e.weight))
+        .map(|(id, e)| Candidate {
+            id,
+            u: e.u as u32,
+            v: e.v as u32,
+            lca: tree.lca(e.u, e.v) as u32,
+            weight: if weighted { e.weight } else { 1 },
+        })
         .collect();
 
+    let mut current = h.clone();
     let mut added = graph.empty_edge_set();
     let mut schedule = ProbabilitySchedule::new(graph.n(), graph.m());
     let mut iterations = 0u64;
+
+    // Reused per-iteration buffers. A label class is named by the position of
+    // its first occurrence in `sorted_labels`; `edge_class[c]` is the class of the
+    // tree edge {c, parent(c)} (or `UNIQUE`), `class_size[k]` its n_φ, and
+    // `on_path[k]` the candidate's n_{φ,e} while its path is walked.
+    let mut sorted_labels: Vec<u64> = Vec::new();
+    let mut edge_class = vec![UNIQUE; graph.n()];
+    let mut class_size: Vec<u32> = Vec::new();
+    let mut on_path: Vec<u32> = Vec::new();
+    let mut touched: Vec<u32> = Vec::new();
+    let mut rounded: Vec<Option<Rounded>> = Vec::new();
 
     loop {
         assert!(
@@ -221,26 +277,35 @@ fn augment_to_three<R: Rng>(
 
         // Sample a fresh circulation of H ∪ A and compute the per-label edge
         // counts n_φ (Lemma 5.5 / step (b) of Section 5.3).
-        let current = h.union(&added);
         let circulation = Circulation::sample(graph, &current, tree, 64, rng);
         ledger.charge("3ecss/labels", depth_rounds);
-        let mut n_phi: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for id in current.iter() {
-            *n_phi
-                .entry(circulation.label(id).expect("edge of H ∪ A has a label"))
-                .or_insert(0) += 1;
+        sorted_labels.clear();
+        sorted_labels.extend(
+            current
+                .iter()
+                .map(|id| circulation.label(id).expect("edge of H ∪ A has a label")),
+        );
+        sorted_labels.sort_unstable();
+        class_size.resize(sorted_labels.len(), 0);
+        on_path.resize(sorted_labels.len(), 0);
+        let mut has_cut_pair_witness = false;
+        for &(c, t) in &tree_edges {
+            let label = circulation.label(t).expect("tree edge has a label");
+            let first = sorted_labels.partition_point(|&l| l < label);
+            let n_phi = sorted_labels[first..].partition_point(|&l| l == label);
+            if n_phi > 1 {
+                edge_class[c] = first as u32;
+                class_size[first] = n_phi as u32;
+                has_cut_pair_witness = true;
+            } else {
+                edge_class[c] = UNIQUE;
+            }
         }
         ledger.charge("3ecss/label_counts", depth_rounds);
 
         // Termination (Claim 5.10): if every tree edge's label is unique,
         // no tree edge is in a cut pair, hence there are no cut pairs at all
         // and H ∪ A is 3-edge-connected. This direction holds with certainty.
-        let has_cut_pair_witness = tree.edge_children().any(|c| {
-            let t = tree
-                .parent_edge(c)
-                .expect("non-root child has a parent edge");
-            n_phi[&circulation.label(t).expect("tree edge has a label")] > 1
-        });
         ledger.charge("3ecss/termination", model.convergecast(1));
         if !has_cut_pair_witness {
             break;
@@ -252,30 +317,29 @@ fn augment_to_three<R: Rng>(
         // tree edges of its fundamental path by label and sum
         // n_{φ,e} (n_φ − n_{φ,e}); divide by the weight in the weighted case.
         let mut best_class: Option<Rounded> = None;
-        let mut coverage = vec![0usize; candidates_pool.len()];
-        for (i, &(id, u, v, _)) in candidates_pool.iter().enumerate() {
-            if added.contains(id) {
-                continue;
-            }
-            let mut on_path: std::collections::HashMap<u64, usize> =
-                std::collections::HashMap::new();
-            for child in tree.path_edge_children(u, v) {
-                let t = tree
-                    .parent_edge(child)
-                    .expect("non-root child has a parent edge");
-                let label = circulation.label(t).expect("tree edge has a label");
-                *on_path.entry(label).or_insert(0) += 1;
+        rounded.clear();
+        for cand in &candidates {
+            for start in [cand.u, cand.v] {
+                let mut x = start;
+                while x != cand.lca {
+                    let k = edge_class[x as usize];
+                    if k != UNIQUE {
+                        if on_path[k as usize] == 0 {
+                            touched.push(k);
+                        }
+                        on_path[k as usize] += 1;
+                    }
+                    x = parent[x as usize];
+                }
             }
             let mut rho = 0usize;
-            for (label, n_phi_e) in on_path {
-                let total = n_phi.get(&label).copied().unwrap_or(n_phi_e);
-                rho += n_phi_e * (total - n_phi_e);
+            for k in touched.drain(..) {
+                let n_phi_e = std::mem::take(&mut on_path[k as usize]) as usize;
+                rho += n_phi_e * (class_size[k as usize] as usize - n_phi_e);
             }
-            coverage[i] = rho;
-            let weight_for_class = if weighted { candidates_pool[i].3 } else { 1 };
-            if let Some(class) = Rounded::of(rho, weight_for_class) {
-                best_class = Some(best_class.map_or(class, |b| b.max(class)));
-            }
+            let class = Rounded::of(rho, cand.weight);
+            best_class = best_class.max(class);
+            rounded.push(class);
         }
         ledger.charge(
             "3ecss/cost_effectiveness",
@@ -296,17 +360,13 @@ fn augment_to_three<R: Rng>(
         // Activation with the Section 4 probability schedule; all active
         // candidates join A (no MST filtering in Section 5's algorithm).
         let p = schedule.probability(target_class);
-        for (i, &(id, _, _, w)) in candidates_pool.iter().enumerate() {
-            let weight_for_class = if weighted { w } else { 1 };
-            if added.contains(id)
-                || Rounded::of(coverage[i], weight_for_class) != Some(target_class)
-            {
-                continue;
-            }
-            if rng.gen_bool(p) {
-                added.insert(id);
+        for (cand, class) in candidates.iter().zip(&rounded) {
+            if *class == Some(target_class) && rng.gen_bool(p) {
+                added.insert(cand.id);
+                current.insert(cand.id);
             }
         }
+        candidates.retain(|cand| !added.contains(cand.id));
     }
 
     (added, iterations)

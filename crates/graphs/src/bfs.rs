@@ -105,25 +105,72 @@ pub fn distances_in(graph: &Graph, edges: &EdgeSet, root: NodeId) -> Vec<usize> 
 /// Returns `None` if the graph is disconnected or has no vertices.
 /// Intended for the modest instance sizes used in tests and benchmarks.
 pub fn diameter(graph: &Graph) -> Option<usize> {
-    diameter_in(graph, &graph.full_edge_set())
+    max_eccentricity(graph, |_| true)
 }
 
 /// Exact (hop) diameter restricted to an edge set.
 ///
 /// Returns `None` if the restricted graph is disconnected or empty.
 pub fn diameter_in(graph: &Graph, edges: &EdgeSet) -> Option<usize> {
-    if graph.n() == 0 {
+    max_eccentricity(graph, |e| edges.contains(e))
+}
+
+/// The diameter kernel: one BFS per source over the edges `keep` admits.
+/// The kept adjacency is flattened once into offset and `u32` target arrays,
+/// so the per-source searches test no mask and share one distance array and
+/// one flat queue (no parent arrays, no per-source allocation). The last
+/// vertex a BFS dequeues is a farthest one, so its distance is the source's
+/// eccentricity.
+fn max_eccentricity(graph: &Graph, keep: impl Fn(EdgeId) -> bool) -> Option<usize> {
+    let n = graph.n();
+    if n == 0 {
         return None;
     }
+    assert!(
+        u32::try_from(n).is_ok(),
+        "the diameter kernel stores vertex ids as u32"
+    );
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(2 * graph.m());
+    offsets.push(0);
+    for v in 0..n {
+        targets.extend(
+            graph
+                .neighbors(v)
+                .iter()
+                .filter(|&&(_, e)| keep(e))
+                .map(|&(u, _)| u as u32),
+        );
+        offsets.push(targets.len());
+    }
+    let mut dist = vec![u32::MAX; n];
+    let mut queue = vec![0u32; n];
     let mut best = 0;
-    for v in 0..graph.n() {
-        let t = bfs_in(graph, edges, v);
-        if !t.is_spanning() {
+    for source in 0..n {
+        dist[source] = 0;
+        queue[0] = source as u32;
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            let v = queue[head] as usize;
+            head += 1;
+            let next = dist[v] + 1;
+            for &u in &targets[offsets[v]..offsets[v + 1]] {
+                if dist[u as usize] == u32::MAX {
+                    dist[u as usize] = next;
+                    queue[tail] = u;
+                    tail += 1;
+                }
+            }
+        }
+        if tail < n {
             return None;
         }
-        best = best.max(t.eccentricity());
+        best = best.max(dist[queue[n - 1] as usize]);
+        for &v in &queue[..tail] {
+            dist[v as usize] = u32::MAX;
+        }
     }
-    Some(best)
+    Some(best as usize)
 }
 
 /// A 2-approximation of the diameter using two BFS passes (the second from a

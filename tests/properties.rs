@@ -7,7 +7,8 @@
 //! * cost-effectiveness rounding brackets the exact value;
 //! * edge-set algebra behaves like set algebra, and the word-packed
 //!   [`EdgeSet`] agrees with a naive `Vec<bool>` model on every operation;
-//! * the word-wise exact removal test agrees with the naive per-edge scan;
+//! * the word-wise exact removal test agrees with the naive per-edge scan,
+//!   and the flat diameter kernel with the per-vertex BFS maximum;
 //! * instances round-trip bit-exactly through the text and `KGB1` binary
 //!   formats, with identical `EdgeId` assignment;
 //! * the streaming two-pass readers agree byte-for-byte with the in-memory
@@ -268,6 +269,53 @@ proptest! {
         prop_assert_eq!(
             connectivity::is_connected_after_removal(&graph, &h, &removed),
             dsu.component_count() == 1
+        );
+    }
+
+    /// The flat diameter kernel agrees with the per-vertex `bfs_in`
+    /// eccentricity maximum it replaced, on arbitrary graphs (connected
+    /// through a spanning path or not, sometimes empty), through the full
+    /// set and a random mask that drops about a quarter of the edges.
+    #[test]
+    fn diameter_kernel_matches_per_vertex_bfs(
+        n in 0usize..24,
+        spanning_path in 0usize..2,
+        us in prop::collection::vec(0usize..24, 0..40),
+        vs in prop::collection::vec(0usize..24, 0..40),
+        mask_bits in prop::collection::vec(0usize..4, 0..80),
+    ) {
+        let mut graph = Graph::new(n);
+        if spanning_path == 1 {
+            for v in 1..n {
+                graph.add_edge(v - 1, v, 1);
+            }
+        }
+        for (u, v) in us.into_iter().zip(vs) {
+            if n > 0 && u % n != v % n {
+                graph.add_edge(u % n, v % n, 1);
+            }
+        }
+        let mut masked = graph.full_edge_set();
+        for (i, drop) in mask_bits.iter().enumerate().take(graph.m()) {
+            if *drop == 0 {
+                masked.remove(EdgeId(i));
+            }
+        }
+        for edges in [graph.full_edge_set(), masked] {
+            let per_vertex = if n == 0 {
+                None
+            } else {
+                (0..n)
+                    .map(|v| graphs::bfs::bfs_in(&graph, &edges, v))
+                    .map(|t| t.is_spanning().then(|| t.eccentricity()))
+                    .collect::<Option<Vec<usize>>>()
+                    .map(|ecc| ecc.into_iter().max().unwrap_or(0))
+            };
+            prop_assert_eq!(graphs::bfs::diameter_in(&graph, &edges), per_vertex);
+        }
+        prop_assert_eq!(
+            graphs::bfs::diameter(&graph),
+            graphs::bfs::diameter_in(&graph, &graph.full_edge_set())
         );
     }
 
