@@ -1,14 +1,17 @@
-//! Golden outputs of the Section 5 3-ECSS solvers.
+//! Golden outputs of the Section 5 3-ECSS solvers and of the weighted
+//! k-ECSS driver at high `k`.
 //!
 //! The byte-identity suites compare two runs of the same build, so they
 //! cannot see a change to the solver that alters its output. These tests
 //! pin the output itself: an FNV-1a digest of the selected edge ids, the
-//! iteration count and the charged CONGEST rounds of `three_ecss::solve`
-//! and `three_ecss::solve_weighted` on fixed instances and seeds, and the
-//! digest of one service payload. A performance rewrite of the augmentation
-//! loop must leave every value here unchanged.
+//! iteration counts and the charged CONGEST rounds of `three_ecss::solve`,
+//! `three_ecss::solve_weighted` and `kecss::solve` on fixed instances and
+//! seeds, the digest of one `Aug_k` cut family, and the digests of two
+//! service payloads. A performance rewrite of the augmentation loop or of
+//! the cut enumeration must leave every value here unchanged.
 
 use graphs::{generators, EdgeSet};
+use kecss::cuts::CutFamily;
 use kecss::three_ecss::{self, ThreeEcssSolution};
 use kecss_runtime::Executor;
 use kecss_server::protocol::Request;
@@ -74,5 +77,90 @@ fn torus_three_ecss_service_payload_is_pinned() {
         (fnv1a(payload.iter().copied()), payload.len()),
         (2_484_618_760_383_269_931, 9453),
         "torus:400 3ecss payload"
+    );
+}
+
+/// `(edge digest, per-level iterations, ledger total)` of a k-ECSS run.
+type KEcssPin = (u64, Vec<u64>, u64);
+
+/// The [`KEcssPin`] of a solution.
+fn pin_kecss(sol: &kecss::kecss::KEcssSolution) -> KEcssPin {
+    (
+        edge_digest(&sol.subgraph),
+        sol.levels.iter().map(|l| l.iterations).collect(),
+        sol.ledger.total(),
+    )
+}
+
+#[test]
+fn high_k_ecss_is_pinned() {
+    let expected: [(&str, graphs::Graph, usize, KEcssPin); 3] = [
+        (
+            "Q_5",
+            generators::hypercube(5, 1),
+            5,
+            (
+                6_542_486_385_081_961_765,
+                vec![0, 141, 140, 104, 63],
+                20_890,
+            ),
+        ),
+        (
+            "Q_6",
+            generators::hypercube(6, 1),
+            6,
+            (
+                8_663_726_081_582_994_725,
+                vec![0, 200, 274, 109, 148, 83],
+                47_134,
+            ),
+        ),
+        (
+            "harary(8, 10)",
+            generators::harary(8, 10, 1),
+            8,
+            (
+                12_293_300_712_892_130_981,
+                vec![0, 53, 23, 25, 19, 39, 56, 34],
+                5_434,
+            ),
+        ),
+    ];
+    for (name, g, k, want) in expected {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let sol = kecss::kecss::solve(&g, k, &mut rng).unwrap();
+        assert_eq!(pin_kecss(&sol), want, "{name} k = {k}");
+    }
+}
+
+#[test]
+fn hypercube_size_five_cut_family_is_pinned() {
+    let g = generators::hypercube(5, 1);
+    let family = CutFamily::enumerate(&g, &g.full_edge_set(), 5).unwrap();
+    let digest = fnv1a(
+        family
+            .cuts()
+            .iter()
+            .flatten()
+            .flat_map(|id| (id.index() as u64).to_le_bytes()),
+    );
+    assert_eq!(
+        (digest, family.len()),
+        (9_801_105_915_553_197_637, 32),
+        "Q_5 size-5 cuts"
+    );
+}
+
+#[test]
+fn hypercube_kecss_service_payload_is_pinned() {
+    let Request::Submit(spec) = Request::parse("SUBMIT hypercube:64 6 kecss auto 7").unwrap()
+    else {
+        panic!("not a SUBMIT line")
+    };
+    let payload = kecss_server::job::run(&spec, &Executor::Sequential).unwrap();
+    assert_eq!(
+        (fnv1a(payload.iter().copied()), payload.len()),
+        (17_680_938_145_498_353_477, 2672),
+        "hypercube:64 kecss payload"
     );
 }
