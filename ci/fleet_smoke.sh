@@ -3,7 +3,7 @@
 # ephemeral ports, real processes end to end, proving the two fleet
 # guarantees the unit tests cannot:
 #
-#  1. **Retry-on-worker-loss across processes.** A slow job (Q_8 at k = 8,
+#  1. **Retry-on-worker-loss across processes.** A slow job (Q_10 at k = 10,
 #     several seconds of solving) is dispatched, the worker actually running
 #     it is identified through `kecss fleet-status` and killed with SIGKILL
 #     mid-job, and the job must complete on the surviving worker — with a
@@ -23,7 +23,7 @@ source "$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)/lib.sh"
 smoke_init
 
 # The specs: one slow job (the kill window) and two quick ones.
-SLOW=(--instance hypercube:256 --k 8 --algorithm kecss --enumerator ks --seed 3)
+SLOW=(--instance hypercube:1024 --k 10 --algorithm kecss --enumerator auto --seed 3)
 QUICK_A=(--instance ring:32 --k 2 --algorithm kecss --enumerator auto --seed 1)
 QUICK_B=(--instance harary:24:9 --k 3 --algorithm kecss --enumerator auto --seed 2)
 

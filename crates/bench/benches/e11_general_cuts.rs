@@ -15,8 +15,8 @@
 //!
 //! Strategies that produce a result must agree cut-for-cut (they are all
 //! exactly verified); the table reports wall time, candidate counts and the
-//! agreement check. The randomized `ks` strategy has its own series and
-//! Criterion timing in E16, so this bench only prints its table.
+//! agreement check. The minimum-cut enumerator behind `auto` has its own
+//! series and Criterion timing in E16, so this bench only prints its table.
 
 use graphs::generators;
 use kecss::cuts::{Cut, CutEnumerator, ExactEnumerator, LabelEnumerator};
@@ -26,7 +26,7 @@ use std::time::Instant;
 
 /// The label budget used for the table: large enough that `label` completes
 /// everywhere except the genuinely explosive hypercube `k = 8` row, which
-/// documents the fallback regime.
+/// documents where the label pool explodes.
 const TABLE_LABEL_BUDGET: u64 = 100_000_000;
 
 fn run_strategy(

@@ -3,7 +3,7 @@
 //! Runs a quick-mode subset of the experiment workloads (E10 parallel
 //! scaling's solver kernel, E12's service throughput, E13's compact-core
 //! parse and removal kernels, E14's out-of-core streaming ingest, E15's
-//! observability overhead, E16's Karger-Stein enumeration) and writes
+//! observability overhead, E16's minimum-cut enumeration) and writes
 //! median nanoseconds per workload as JSON, so CI can upload a
 //! `BENCH_PR<N>.json` artifact and successive PRs accumulate a comparable
 //! perf trajectory.
@@ -27,7 +27,7 @@
 //! kernels exposing `/proc/self/status`; the field is simply absent
 //! elsewhere, so `kecss-bench-v1` consumers stay compatible.
 
-use kecss::cuts::{CutEnumerator, EnumeratorPolicy, KargerSteinEnumerator};
+use kecss::cuts::{CutEnumerator, EnumeratorPolicy, MinCutEnumerator};
 use kecss_runtime::Executor;
 use kecss_server::instance::InstanceSpec;
 use kecss_server::job::{Algorithm, JobSpec};
@@ -307,33 +307,17 @@ fn e14_out_of_core(samples: usize) -> (Measurement, Measurement) {
     (stream, slurp)
 }
 
-/// E16's headline row: the recursive Karger–Stein enumerator on the `Q_5`
-/// size-5 workload (the first size beyond the exact specializations).
-fn e16_ks_q5(samples: usize) -> Measurement {
-    let g = graphs::generators::hypercube(5, 1);
+/// E16's rows: the deterministic minimum-cut enumerator on `Q_dim` at size
+/// `dim` (`Q_5`: the first size beyond the exact specializations; `Q_8`:
+/// the `k = 8` regime).
+fn e16_min_cuts(samples: usize, name: &'static str, dim: usize) -> Measurement {
+    let g = graphs::generators::hypercube(dim, 1);
     let h = g.full_edge_set();
     Measurement {
-        name: "e16_karger_stein/ks_q5_size5",
+        name,
         median_ns: median_ns(samples, || {
-            let cuts = KargerSteinEnumerator::default()
-                .cuts(&g, &h, 5, 0, &Executor::Sequential)
-                .expect("enumeration succeeds");
-            assert!(!cuts.is_empty());
-        }),
-        samples,
-        peak_rss_kb: None,
-    }
-}
-
-/// E16's scale point: Karger–Stein on `Q_8` size-8 — the `k = 8` regime.
-fn e16_ks_q8(samples: usize) -> Measurement {
-    let g = graphs::generators::hypercube(8, 1);
-    let h = g.full_edge_set();
-    Measurement {
-        name: "e16_karger_stein/ks_q8_size8",
-        median_ns: median_ns(samples, || {
-            let cuts = KargerSteinEnumerator::default()
-                .cuts(&g, &h, 8, 0, &Executor::Sequential)
+            let cuts = MinCutEnumerator
+                .cuts(&g, &h, dim, 0, &Executor::Sequential)
                 .expect("enumeration succeeds");
             assert!(!cuts.is_empty());
         }),
@@ -482,8 +466,8 @@ fn main() {
         e14_slurp,
         e15_instrumented,
         e15_noop,
-        e16_ks_q5(samples),
-        e16_ks_q8(samples),
+        e16_min_cuts(samples, "e16_min_cuts/mincut_q5_size5", 5),
+        e16_min_cuts(samples, "e16_min_cuts/mincut_q8_size8", 8),
         e17_ring,
         e17_solo,
         e17_duo,

@@ -33,11 +33,7 @@ fn parse_algorithm(s: &str) -> Result<Algorithm, CliError> {
 
 /// Parses the `--enumerator` / `--strategy` flag into a [`EnumeratorPolicy`].
 fn parse_enumerator(s: &str) -> Result<EnumeratorPolicy, CliError> {
-    EnumeratorPolicy::parse(s).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown enumerator '{s}' (expected exact, label, ks or auto)"
-        ))
-    })
+    EnumeratorPolicy::parse(s).map_err(CliError::Usage)
 }
 
 /// Reads the cut-enumeration strategy from the flag map. `--strategy` is an
@@ -302,13 +298,12 @@ flag. `sweep` runs every (n, algorithm, seed) cell of the grid concurrently
 over T worker threads and verifies each solution. Results are bit-identical
 for every thread count.
 
-`--enumerator <exact|label|ks|auto>` picks the cut-enumeration strategy for
+`--enumerator <exact|label|auto>` picks the cut-enumeration strategy for
 kecss and greedy (default auto); `--strategy` is an alias. 'exact' is the
 specialized size-1..3 enumerator (so k <= 4); 'label' enumerates XOR-zero
-cycle-space subsets of any size; 'ks' is recursive Karger-Stein contraction
-(DESIGN.md #12, the fast path for large k); 'auto' uses exact below size 4,
-then label, falling back to ks when the candidate pool explodes. Any k is
-supported with label/ks/auto.
+cycle-space subsets of any size within a candidate budget; 'auto' uses
+exact below size 4 and deterministic minimum-cut enumeration above
+(DESIGN.md #12). Any k is supported with label/auto.
 
 The 'hypercube' family rounds --n to the next power of two and has edge
 connectivity exactly log2 n, giving ground truth for high-k runs.
@@ -930,7 +925,6 @@ mod tests {
         for (name, expected) in [
             ("exact", EnumeratorPolicy::Exact),
             ("label", EnumeratorPolicy::Label),
-            ("ks", EnumeratorPolicy::Ks),
             ("auto", EnumeratorPolicy::Auto),
         ] {
             // --strategy is an exact alias of --enumerator.
@@ -961,11 +955,27 @@ mod tests {
             "--algorithm",
             "kecss",
             "--enumerator",
-            "ks",
+            "auto",
             "--strategy",
-            "ks",
+            "auto",
         ]))
         .is_err());
+        // The removed Karger-Stein strategy is refused with a pointer to
+        // its replacement, under either spelling.
+        for flag in ["--enumerator", "--strategy"] {
+            match parse(&argv(&[
+                "solve",
+                "--input",
+                "g.graph",
+                "--algorithm",
+                "kecss",
+                flag,
+                "ks",
+            ])) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("'auto'"), "{msg}"),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
         // Default is auto.
         match parse(&argv(&["solve", "--input", "g", "--algorithm", "kecss"])).unwrap() {
             Command::Solve { enumerator, .. } => assert_eq!(enumerator, EnumeratorPolicy::Auto),
@@ -978,7 +988,7 @@ mod tests {
             "--n",
             "64",
             "--enumerator",
-            "ks",
+            "label",
         ]))
         .unwrap()
         {
@@ -992,7 +1002,7 @@ mod tests {
                         ns: vec![64],
                     }
                 );
-                assert_eq!(enumerator, EnumeratorPolicy::Ks);
+                assert_eq!(enumerator, EnumeratorPolicy::Label);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -757,11 +757,7 @@ mod tests {
             seed: 2,
             output: instance.clone(),
         });
-        for enumerator in [
-            EnumeratorPolicy::Label,
-            EnumeratorPolicy::Ks,
-            EnumeratorPolicy::Auto,
-        ] {
+        for enumerator in [EnumeratorPolicy::Label, EnumeratorPolicy::Auto] {
             let text = run(Command::Solve {
                 input: instance.clone(),
                 algorithm: Algorithm::KEcss,

@@ -45,13 +45,6 @@ pub const PHASE_MULTIPLIER: u64 = 2;
 /// Safety cap on iterations (`O(log³ n)` is expected; the cap flags bugs).
 const ITERATION_SAFETY_CAP: u64 = 500_000;
 
-/// How many times the exact post-certification re-enumerates with fresh
-/// randomness before giving up with [`Error::IncompleteEnumeration`]. The
-/// deterministic enumerators certify on the first attempt; the contraction
-/// enumerator doubles its trial count per attempt, so the total work stays
-/// bounded while the miss probability vanishes geometrically.
-const MAX_ENUMERATION_ATTEMPTS: u64 = 8;
-
 /// The result of one `Aug_k` run.
 #[derive(Clone, Debug)]
 pub struct AugkSolution {
@@ -137,7 +130,7 @@ pub fn augment<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -> Res
         CostModel::for_graph(graph),
         rng,
         &Executor::Sequential,
-        &AutoEnumerator::default(),
+        &AutoEnumerator,
     )
 }
 
@@ -147,19 +140,15 @@ pub fn augment<R: Rng>(graph: &Graph, h: &EdgeSet, k: usize, rng: &mut R) -> Res
 /// `rng`), so for a fixed seed the result is bit-identical for every
 /// executor.
 ///
-/// Randomized enumerators (contraction) may miss cuts; this driver is
-/// nevertheless *exact*: after the covering loop it certifies
-/// `H ∪ A` k-edge-connected with the max-flow verifier, and on a miss it
-/// re-enumerates with a fresh salt (escalating the enumerator's effort),
-/// covers the missed cuts and re-certifies, up to a bounded number of
-/// attempts. Deterministic enumerators certify on the first attempt, so the
-/// legacy `k ≤ 4` behavior is unchanged bit for bit.
+/// Every strategy lists all `(k-1)`-cuts of `H`, so covering them makes
+/// `H ∪ A` k-edge-connected. The driver still certifies that with the
+/// max-flow verifier after the covering loop, as a check on the enumerator.
 ///
 /// # Errors
 ///
 /// Same conditions as [`augment`], plus whatever the enumerator reports
 /// ([`Error::InvalidCutRequest`], [`Error::CandidateOverflow`]) and
-/// [`Error::IncompleteEnumeration`] if certification keeps failing.
+/// [`Error::IncompleteEnumeration`] if the certification fails.
 pub fn augment_with_enumerator<R: Rng>(
     graph: &Graph,
     h: &EdgeSet,
@@ -175,91 +164,24 @@ pub fn augment_with_enumerator<R: Rng>(
     // All vertices learn the complete structure of H (|H| = O(kn) edges).
     ledger.charge("augk/learn_h", model.broadcast(h.len() as u64));
 
-    let candidates_pool: Vec<(EdgeId, usize, usize, u64)> = graph
-        .edges()
-        .filter(|(id, _)| !h.contains(*id))
-        .map(|(id, e)| (id, e.u, e.v, e.weight))
-        .collect();
-
-    let mut added = graph.empty_edge_set();
-    let mut schedule = ProbabilitySchedule::new(graph.n(), graph.m());
-    let mut iterations = 0u64;
-    let mut cuts_covered = 0usize;
-
-    let mut attempt = 0u64;
-    loop {
-        kecss_obs::counter("solver_augment_attempts_total").inc();
-        // The cuts of size k-1 of H; with full knowledge of H every vertex
-        // can enumerate them locally (local computation is free in CONGEST).
-        // The candidate removal tests are independent per candidate, so they
-        // run through the executor.
-        let family = {
-            let _span = kecss_obs::span("enumerate");
-            if attempt == 0 {
-                CutFamily::enumerate_with_enumerator(graph, h, k - 1, enumerator, 0, exec)?
-            } else {
-                // Certification failed: re-enumerate with a fresh salt and keep
-                // only the cuts A does not already cover (their precomputed
-                // bipartitions carry over).
-                let mut fresh = CutFamily::enumerate_with_enumerator(
-                    graph,
-                    h,
-                    k - 1,
-                    enumerator,
-                    attempt,
-                    exec,
-                )?;
-                let already_covered: Vec<bool> = (0..fresh.len())
-                    .map(|c| {
-                        added.iter().any(|id| {
-                            let e = graph.edge(id);
-                            fresh.crossed_by(c, e.u, e.v)
-                        })
-                    })
-                    .collect();
-                fresh.retain(|c| !already_covered[c]);
-                fresh
-            }
-        };
-        cuts_covered += family.len();
-
-        {
-            let _span = kecss_obs::span("cover");
-            cover_family(
-                graph,
-                h,
-                k,
-                &candidates_pool,
-                &family,
-                &mut added,
-                &mut schedule,
-                &mut iterations,
-                &mut ledger,
-                model,
-                rng,
-                exec,
-            )?;
-        }
-
-        // Exact post-certification: H ∪ A is k-edge-connected iff every
-        // induced (k-1)-cut of H is covered, so a pass proves the (possibly
-        // randomized) enumeration missed nothing that matters.
-        let certified = {
-            let _span = kecss_obs::span("certify");
-            connectivity::is_k_edge_connected_in(graph, &h.union(&added), k)
-        };
-        if certified {
-            break;
-        }
-        attempt += 1;
-        kecss_obs::counter("solver_augment_retries_total").inc();
-        kecss_obs::event("augment_retry", &[("attempt", &attempt.to_string())]);
-        if attempt >= MAX_ENUMERATION_ATTEMPTS {
-            return Err(Error::IncompleteEnumeration {
-                size: k - 1,
-                attempts: attempt,
-            });
-        }
+    // The cuts of size k-1 of H; with full knowledge of H every vertex can
+    // enumerate them locally (local computation is free in CONGEST).
+    let family = {
+        let _span = kecss_obs::span("enumerate");
+        CutFamily::enumerate_with_enumerator(graph, h, k - 1, enumerator, 0, exec)?
+    };
+    let (added, iterations) = {
+        let _span = kecss_obs::span("cover");
+        cover_family(graph, h, k, &family, &mut ledger, rng, exec)?
+    };
+    // H ∪ A is k-edge-connected iff every induced (k-1)-cut of H is
+    // covered, so a failure here means the enumerator missed a cut.
+    let certified = {
+        let _span = kecss_obs::span("certify");
+        connectivity::is_k_edge_connected_in(graph, &h.union(&added), k)
+    };
+    if !certified {
+        return Err(Error::IncompleteEnumeration { size: k - 1 });
     }
 
     let weight = graph.weight_of(&added);
@@ -267,29 +189,33 @@ pub fn augment_with_enumerator<R: Rng>(
         added,
         weight,
         iterations,
-        cuts_covered,
+        cuts_covered: family.len(),
         ledger,
     })
 }
 
-/// The covering loop of Section 4 for one enumerated cut family: iterate the
+/// The covering loop of Section 4 for the cut family of `H`: iterate the
 /// probability-guessing candidate activation and reweighted-MST selection
-/// until every cut of `family` is covered by `added`.
-#[allow(clippy::too_many_arguments)]
+/// until every cut of `family` is covered. Returns the added edges `A` and
+/// the number of iterations.
 fn cover_family<R: Rng>(
     graph: &Graph,
     h: &EdgeSet,
     k: usize,
-    candidates_pool: &[(EdgeId, usize, usize, u64)],
     family: &CutFamily,
-    added: &mut EdgeSet,
-    schedule: &mut ProbabilitySchedule,
-    iterations: &mut u64,
     ledger: &mut RoundLedger,
-    model: CostModel,
     rng: &mut R,
     exec: &Executor,
-) -> Result<()> {
+) -> Result<(EdgeSet, u64)> {
+    let model = ledger.model();
+    let candidates_pool: Vec<(EdgeId, usize, usize, u64)> = graph
+        .edges()
+        .filter(|(id, _)| !h.contains(*id))
+        .map(|(id, e)| (id, e.u, e.v, e.weight))
+        .collect();
+    let mut added = graph.empty_edge_set();
+    let mut schedule = ProbabilitySchedule::new(graph.n(), graph.m());
+    let mut iterations = 0u64;
     let mut covered = vec![false; family.len()];
     let mut uncovered = family.len();
 
@@ -298,7 +224,7 @@ fn cover_family<R: Rng>(
     // is decremented, so the total maintenance cost over the whole run is
     // O(#cuts · #candidates) instead of that much per iteration. The initial
     // counting is independent per candidate and runs through the executor.
-    let mut coverage: Vec<usize> = exec.map(candidates_pool, |&(_, u, v, _)| {
+    let mut coverage: Vec<usize> = exec.map(&candidates_pool, |&(_, u, v, _)| {
         (0..family.len())
             .filter(|&c| family.crossed_by(c, u, v))
             .count()
@@ -306,10 +232,10 @@ fn cover_family<R: Rng>(
 
     while uncovered > 0 {
         assert!(
-            *iterations < ITERATION_SAFETY_CAP,
+            iterations < ITERATION_SAFETY_CAP,
             "Aug_k exceeded the iteration safety cap; this indicates a bug"
         );
-        *iterations += 1;
+        iterations += 1;
 
         // Lines 1-2: rounded cost-effectiveness and the maximum class.
         let mut best_class: Option<Rounded> = None;
@@ -396,7 +322,7 @@ fn cover_family<R: Rng>(
         ledger.charge("augk/broadcast_added", model.broadcast(n_i));
         ledger.charge("augk/termination", model.convergecast(1));
     }
-    Ok(())
+    Ok((added, iterations))
 }
 
 fn validate(graph: &Graph, h: &EdgeSet, k: usize) -> Result<()> {
@@ -471,24 +397,38 @@ mod tests {
     }
 
     #[test]
-    fn contraction_enumerator_is_certified_exact() {
-        // Even with a single Karger–Stein repetition, the post-certification
-        // loop keeps escalating until the result is exactly k-edge-connected.
-        use crate::cuts::KargerSteinEnumerator;
-        let mut rng = ChaCha8Rng::seed_from_u64(33);
-        let g = generators::random_k_edge_connected(12, 5, 8, &mut rng);
-        let h = baselines::thurimella::sparse_certificate(&g, 4).edges;
-        let enumerator = KargerSteinEnumerator::with_repetitions(1);
-        let sol = augment_with_enumerator(
-            &g,
-            &h,
-            5,
-            CostModel::for_graph(&g),
-            &mut rng,
-            &Executor::Sequential,
-            &enumerator,
-        )
-        .unwrap();
+    fn min_cut_enumerator_matches_label_and_certifies() {
+        // The minimum-cut and label enumerators list the same size-4 cuts,
+        // so with one seed both drive the same augmentation, and it
+        // certifies 5-edge-connected.
+        use crate::cuts::{LabelEnumerator, MinCutEnumerator};
+        // H = C_12(1, 2), the first 24 edges of harary(5, 12); G adds the
+        // six diameters and a few heavier chords.
+        let mut g = generators::harary(5, 12, 1);
+        for (u, v, w) in [(0, 3, 2), (1, 7, 3), (4, 9, 2), (5, 10, 4)] {
+            g.add_edge(u, v, w);
+        }
+        let h = EdgeSet::from_ids(g.m(), (0..24).map(EdgeId));
+        let run = |enumerator: &dyn CutEnumerator| {
+            let mut rng = ChaCha8Rng::seed_from_u64(34);
+            let exec = Executor::Sequential;
+            augment_with_enumerator(
+                &g,
+                &h,
+                5,
+                CostModel::for_graph(&g),
+                &mut rng,
+                &exec,
+                enumerator,
+            )
+            .unwrap()
+        };
+        let sol = run(&MinCutEnumerator);
+        let by_label = run(&LabelEnumerator::default());
+        assert_eq!(sol.added, by_label.added);
+        assert_eq!(sol.iterations, by_label.iterations);
+        assert_eq!(sol.cuts_covered, by_label.cuts_covered);
+        assert_eq!(sol.cuts_covered, 12, "the vertex stars of H");
         let union = h.union(&sol.added);
         assert!(connectivity::is_k_edge_connected_in(&g, &union, 5));
     }
@@ -614,7 +554,7 @@ mod tests {
                 CostModel::for_graph(&g),
                 &mut rng,
                 &exec,
-                &AutoEnumerator::default(),
+                &AutoEnumerator,
             )
             .unwrap();
             assert_eq!(parallel.added, sequential.added, "t = {threads}");

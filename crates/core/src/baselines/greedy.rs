@@ -140,21 +140,19 @@ pub fn k_ecss(graph: &Graph, k: usize) -> BaselineSolution {
         graph,
         k,
         &kecss_runtime::Executor::Sequential,
-        &AutoEnumerator::default(),
+        &AutoEnumerator,
     )
     .expect("greedy k-ECSS on a k-edge-connected graph cannot fail with the auto enumerator")
 }
 
 /// The general greedy entry point: explicit executor and
 /// [`CutEnumerator`] strategy. Like `Aug_k`, each level's cover is certified
-/// exactly and re-enumerated with a fresh salt if a randomized enumerator
-/// missed a cut, so the returned subgraph is always genuinely
-/// k-edge-connected.
+/// exactly, so the returned subgraph is always genuinely k-edge-connected.
 ///
 /// # Errors
 ///
 /// Whatever the enumerator reports, plus [`Error::IncompleteEnumeration`] if
-/// certification keeps failing.
+/// a level fails its certification.
 ///
 /// # Panics
 ///
@@ -169,34 +167,17 @@ pub fn k_ecss_with_enumerator(
     assert!(k >= 1, "k must be at least 1");
     // Observational only (DESIGN.md §11) — never feeds back into the bytes.
     let _solve_span = kecss_obs::span("solve");
-    const MAX_ATTEMPTS: u64 = 8;
     let mut h = {
         let _span = kecss_obs::span("mst");
         graphs::mst::kruskal(graph)
     };
     for level in 2..=k {
-        let mut attempt = 0u64;
-        loop {
-            let family = CutFamily::enumerate_with_enumerator(
-                graph,
-                &h,
-                level - 1,
-                enumerator,
-                attempt,
-                exec,
-            )?;
-            let added = augment_cuts(graph, &h, &family);
-            h.union_with(&added.edges);
-            if connectivity::is_k_edge_connected_in(graph, &h, level) {
-                break;
-            }
-            attempt += 1;
-            if attempt >= MAX_ATTEMPTS {
-                return Err(Error::IncompleteEnumeration {
-                    size: level - 1,
-                    attempts: attempt,
-                });
-            }
+        let family =
+            CutFamily::enumerate_with_enumerator(graph, &h, level - 1, enumerator, 0, exec)?;
+        let added = augment_cuts(graph, &h, &family);
+        h.union_with(&added.edges);
+        if !connectivity::is_k_edge_connected_in(graph, &h, level) {
+            return Err(Error::IncompleteEnumeration { size: level - 1 });
         }
     }
     let weight = graph.weight_of(&h);

@@ -39,9 +39,8 @@ pub enum Error {
         reason: String,
     },
     /// The cycle-space label-class candidate pool for the requested cut size
-    /// outgrew the enumeration budget. The caller should fall back to the
-    /// randomized-contraction enumerator (the `auto` policy does this
-    /// automatically).
+    /// outgrew the enumeration budget. The `auto` policy, which enumerates
+    /// sizes above 3 through minimum cuts, has no budget.
     CandidateOverflow {
         /// The requested cut size.
         size: usize,
@@ -63,16 +62,12 @@ pub enum Error {
     /// A solver job was rejected because the scheduling front-end is
     /// shutting down: already-accepted jobs drain, new ones are refused.
     ServiceShuttingDown,
-    /// A randomized cut enumerator kept missing cuts: the augmentation's
-    /// exact post-certification failed even after re-enumerating with fresh
-    /// randomness. This indicates far too few Karger–Stein repetitions (or a bug);
-    /// it does not occur with the `exact`/`label` strategies, which are
-    /// deterministically complete on their supported sizes.
+    /// An augmentation covered every enumerated cut, yet its exact
+    /// post-certification failed: the cut enumerator missed a cut. Every
+    /// strategy is complete on the sizes it accepts, so this indicates a bug.
     IncompleteEnumeration {
-        /// The cut size being enumerated.
+        /// The cut size that was enumerated.
         size: usize,
-        /// Number of enumeration attempts that were certified incomplete.
-        attempts: u64,
     },
 }
 
@@ -94,8 +89,7 @@ impl fmt::Display for Error {
             Error::CandidateOverflow { size, budget } => write!(
                 f,
                 "label-class candidate pool for cuts of size {size} exceeded the budget of \
-                 {budget} visits; use the Karger–Stein enumerator (enumerator policy 'ks' or \
-                 'auto')"
+                 {budget} visits; use the 'auto' enumerator policy"
             ),
             Error::JobCancelled { job } => {
                 write!(f, "job {job} was cancelled before it ran")
@@ -108,10 +102,10 @@ impl fmt::Display for Error {
                 f,
                 "the service is shutting down; accepted jobs drain but no new jobs are admitted"
             ),
-            Error::IncompleteEnumeration { size, attempts } => write!(
+            Error::IncompleteEnumeration { size } => write!(
                 f,
-                "randomized enumeration of cuts of size {size} was still incomplete after \
-                 {attempts} certified attempts; increase the Karger–Stein repetition count"
+                "the augmented subgraph failed its exact certification: the enumeration of \
+                 cuts of size {size} missed a cut"
             ),
         }
     }
@@ -152,12 +146,8 @@ mod tests {
         };
         assert!(e.to_string().contains("size 5"));
         assert!(e.to_string().contains("1000"));
-        let e = Error::IncompleteEnumeration {
-            size: 6,
-            attempts: 3,
-        };
+        let e = Error::IncompleteEnumeration { size: 6 };
         assert!(e.to_string().contains("size 6"));
-        assert!(e.to_string().contains("3"));
         let e = Error::JobCancelled { job: 42 };
         assert!(e.to_string().contains("job 42"));
         let e = Error::JobQueueFull { depth: 8 };

@@ -57,15 +57,14 @@ pub fn solve<R: Rng>(graph: &Graph, k: usize, rng: &mut R) -> Result<KEcssSoluti
         CostModel::for_graph(graph),
         rng,
         &Executor::Sequential,
-        &AutoEnumerator::default(),
+        &AutoEnumerator,
     )
 }
 
 /// The general entry point: explicit cost model, executor *and*
-/// [`CutEnumerator`] strategy (see [`augk::augment_with_enumerator`] for how
-/// randomized strategies are certified exact). `exec` parallelizes the
-/// per-level cut verification only, so the result is bit-identical for
-/// every executor.
+/// [`CutEnumerator`] strategy (see [`augk::augment_with_enumerator`] for the
+/// per-level certification). `exec` parallelizes the per-level cut
+/// enumeration only, so the result is bit-identical for every executor.
 ///
 /// # Errors
 ///

@@ -20,7 +20,7 @@
 //!
 //! * [`cycle_space`] — Pritchard–Thurimella cycle-space sampling (Section 5.1).
 //! * [`cuts`] — pluggable [`cuts::CutEnumerator`] strategies (exact
-//!   specializations, general label classes, randomized contraction) for the
+//!   specializations, general label classes, deterministic minimum cuts) for the
 //!   cuts that must be covered, at *any* cut size.
 //! * [`decomposition`] — the segment / skeleton-tree decomposition of the MST
 //!   (Section 3.2, Figure 1).

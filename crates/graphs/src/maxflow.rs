@@ -101,17 +101,7 @@ impl UnitFlow {
     ///
     /// Panics if `s == t` or either vertex is out of range.
     pub fn max_flow_capped(&mut self, s: NodeId, t: NodeId, limit: u32) -> u32 {
-        assert!(s < self.n && t < self.n, "flow endpoints out of range");
-        assert_ne!(s, t, "source and sink must differ");
-        self.reset();
-        let mut flow = 0;
-        while flow < limit {
-            match self.augment(s, t) {
-                true => flow += 1,
-                false => break,
-            }
-        }
-        flow
+        self.max_flow_from_set_capped(&[s], t, limit)
     }
 
     /// Maximum `s`–`t` flow value (uncapped; bounded by the degree of `s`).
@@ -120,13 +110,56 @@ impl UnitFlow {
         self.max_flow_capped(s, t, cap)
     }
 
-    /// Finds one augmenting path by BFS and pushes one unit along it.
-    fn augment(&mut self, s: NodeId, t: NodeId) -> bool {
+    /// Maximum flow from the vertex set `sources`, contracted into one
+    /// super-source, to `t`, stopping early once it reaches `limit`. The
+    /// flow stays in the network afterwards, so [`UnitFlow::residual`] reads
+    /// its residual graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` is empty, contains `t`, or a vertex is out of
+    /// range.
+    pub fn max_flow_from_set_capped(&mut self, sources: &[NodeId], t: NodeId, limit: u32) -> u32 {
+        assert!(!sources.is_empty(), "the source set must not be empty");
+        assert!(
+            t < self.n && sources.iter().all(|&s| s < self.n),
+            "flow endpoints out of range"
+        );
+        assert!(!sources.contains(&t), "source and sink must differ");
+        self.reset();
+        let mut flow = 0;
+        while flow < limit && self.augment(sources, t) {
+            flow += 1;
+        }
+        flow
+    }
+
+    /// The residual neighbours of `v` under the current flow: with
+    /// `outgoing`, every `w` with a residual arc `v → w`; otherwise every
+    /// `w` with a residual arc `w → v`. A vertex appears once per residual
+    /// arc (parallel edges repeat it).
+    pub fn residual(&self, v: NodeId, outgoing: bool) -> impl Iterator<Item = NodeId> + '_ {
+        self.head(v).iter().filter_map(move |&ai| {
+            let arc = self.arcs[ai];
+            let cap = if outgoing {
+                arc.cap
+            } else {
+                self.arcs[arc.rev].cap
+            };
+            (cap > 0).then_some(arc.to)
+        })
+    }
+
+    /// Finds one augmenting path from the source set by BFS and pushes one
+    /// unit along it.
+    fn augment(&mut self, sources: &[NodeId], t: NodeId) -> bool {
         let mut pred: Vec<Option<usize>> = vec![None; self.n];
         let mut seen = vec![false; self.n];
-        seen[s] = true;
-        let mut queue = VecDeque::new();
-        queue.push_back(s);
+        let mut queue = VecDeque::with_capacity(sources.len());
+        for &s in sources {
+            seen[s] = true;
+            queue.push_back(s);
+        }
         'bfs: while let Some(v) = queue.pop_front() {
             for &ai in self.head(v) {
                 let arc = self.arcs[ai];
@@ -143,10 +176,10 @@ impl UnitFlow {
         if !seen[t] {
             return false;
         }
-        // Walk back from t, pushing one unit.
+        // Walk back from t to the source it was reached from (sources have
+        // no predecessor), pushing one unit.
         let mut v = t;
-        while v != s {
-            let ai = pred[v].expect("predecessor must exist on augmenting path");
+        while let Some(ai) = pred[v] {
             self.arcs[ai].cap -= 1;
             let rev = self.arcs[ai].rev;
             self.arcs[rev].cap += 1;
@@ -244,5 +277,22 @@ mod tests {
         assert_eq!(f.max_flow(0, 2), 2);
         assert_eq!(f.max_flow(1, 3), 2);
         assert_eq!(f.max_flow(0, 2), 2);
+    }
+
+    #[test]
+    fn source_set_flow_contracts_the_sources() {
+        // On the 6-cycle, {0, 1, 2} → 4 is cut by the two edges leaving the
+        // arc 0..=2; the residual graph after the flow reaches nothing past
+        // the sources from the source side.
+        let g = generators::cycle(6, 1);
+        let all = g.full_edge_set();
+        let mut f = UnitFlow::new(&g, &all);
+        assert_eq!(f.max_flow_from_set_capped(&[0, 1, 2], 4, 5), 2);
+        let mut out: Vec<NodeId> = f.residual(2, true).collect();
+        out.sort_unstable();
+        assert_eq!(out, vec![1], "2 → 3 is saturated");
+        let into: Vec<NodeId> = f.residual(3, false).collect();
+        assert_eq!(into, vec![4], "only 4 → 3 stays residual into 3");
+        assert_eq!(f.max_flow_from_set_capped(&[0, 1, 2], 4, 1), 1);
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! {"type":"span","path":"solve/mst","depth":2,"thread":"main","start_us":12,"dur_ns":3400}
-//! {"type":"event","name":"enum_fallback","thread":"w0","at_us":99,"fields":{"from":"label","to":"ks"}}
+//! {"type":"event","name":"note","thread":"w0","at_us":99,"fields":{"key":"value"}}
 //! ```
 //!
 //! Timestamps are microseconds since the first record of the process (a

@@ -101,8 +101,8 @@ impl Request {
                     .map_err(|_| format!("SUBMIT: malformed k '{k}'"))?;
                 let algorithm = Algorithm::parse(algorithm)
                     .ok_or_else(|| format!("SUBMIT: unknown algorithm '{algorithm}'"))?;
-                let enumerator = EnumeratorPolicy::parse(enumerator)
-                    .ok_or_else(|| format!("SUBMIT: unknown enumerator '{enumerator}'"))?;
+                let enumerator =
+                    EnumeratorPolicy::parse(enumerator).map_err(|e| format!("SUBMIT: {e}"))?;
                 let seed: u64 = seed
                     .parse()
                     .map_err(|_| format!("SUBMIT: malformed seed '{seed}'"))?;
@@ -396,6 +396,7 @@ mod tests {
             ("SUBMIT ring:20 2 magic auto 1", "unknown algorithm"),
             ("SUBMIT ring:20 2 kecss magic 1", "unknown enumerator"),
             ("SUBMIT ring:20 2 kecss contract 1", "unknown enumerator"),
+            ("SUBMIT ring:20 2 kecss ks 1", "use 'auto'"),
             ("SUBMIT ring:20 2 kecss auto x", "malformed seed"),
             ("STATUS", "one job id"),
             ("STATUS seven", "malformed job id"),

@@ -40,7 +40,7 @@
 use crate::instance::{InstanceSpec, MAX_INSTANCE_N};
 use crate::job::{Algorithm, JobSpec};
 use crate::protocol::{Request, Response};
-use kecss::cuts::EnumeratorPolicy;
+use kecss::cuts::{EnumeratorPolicy, RETIRED_KS};
 use std::sync::Arc;
 
 /// The binary-mode preamble a client sends as its first 4 bytes.
@@ -107,16 +107,19 @@ const INSTANCE_RECORDS: u8 = 0;
 /// Instance-kind byte of a binary `SUBMIT`: canonical spec string.
 const INSTANCE_SPEC: u8 = 1;
 
-/// The `KGW1` enumerator-policy wire codes. Code 2 is retired (it named a
-/// removed strategy) and decodes as unknown.
+/// The `KGW1` enumerator-policy wire codes. Codes 2 and 3 are retired
+/// (they named removed strategies): 2 decodes as unknown, and 3, the
+/// Karger–Stein `ks`, is refused with a message that names `auto`.
 pub fn enumerator_wire_code(policy: EnumeratorPolicy) -> u8 {
     match policy {
         EnumeratorPolicy::Exact => 0,
         EnumeratorPolicy::Label => 1,
-        EnumeratorPolicy::Ks => 3,
         EnumeratorPolicy::Auto => 4,
     }
 }
+
+/// The retired wire code of the removed `ks` strategy.
+const RETIRED_KS_CODE: u8 = 3;
 
 /// Decodes an enumerator-policy wire code (inverse of
 /// [`enumerator_wire_code`]).
@@ -124,7 +127,6 @@ pub fn enumerator_from_wire_code(code: u8) -> Option<EnumeratorPolicy> {
     Some(match code {
         0 => EnumeratorPolicy::Exact,
         1 => EnumeratorPolicy::Label,
-        3 => EnumeratorPolicy::Ks,
         4 => EnumeratorPolicy::Auto,
         _ => return None,
     })
@@ -293,8 +295,13 @@ pub fn decode_request(opcode: u8, flags: u8, body: &[u8]) -> Result<Request, Str
             let algorithm = Algorithm::from_wire_code(algorithm_code)
                 .ok_or_else(|| format!("SUBMIT: unknown algorithm code {algorithm_code}"))?;
             let enumerator_code = cur.u8("enumerator")?;
-            let enumerator = enumerator_from_wire_code(enumerator_code)
-                .ok_or_else(|| format!("SUBMIT: unknown enumerator code {enumerator_code}"))?;
+            let enumerator = enumerator_from_wire_code(enumerator_code).ok_or_else(|| {
+                if enumerator_code == RETIRED_KS_CODE {
+                    format!("SUBMIT: enumerator code {RETIRED_KS_CODE}: {RETIRED_KS}")
+                } else {
+                    format!("SUBMIT: unknown enumerator code {enumerator_code}")
+                }
+            })?;
             let kind = cur.u8("instance kind")?;
             cur.u8("reserved")?;
             let seed = cur.u64("seed")?;
@@ -497,7 +504,7 @@ mod tests {
             },
             k: 2,
             algorithm: Algorithm::TwoEcss,
-            enumerator: EnumeratorPolicy::Ks,
+            enumerator: EnumeratorPolicy::Label,
             seed: 0,
         });
         let Request::Submit(wait_spec) = &inline else {
@@ -615,21 +622,30 @@ mod tests {
         assert!(decode_response(resp::WAIT, &wait)
             .unwrap_err()
             .contains("unknown job state"));
-        // The retired enumerator code 2 is unknown, not misread.
-        let mut retired = 2u32.to_le_bytes().to_vec();
-        retired.extend_from_slice(&[Algorithm::KEcss.wire_code(), 2, 1, 0]);
-        retired.extend_from_slice(&1u64.to_le_bytes());
-        retired.extend_from_slice(b"ring:20");
-        let err = decode_request(req::SUBMIT, 0, &retired).unwrap_err();
+        // The retired enumerator codes are refused, not misread: 2 is
+        // unknown, and 3 (`ks`) names its replacement.
+        let retired = |code: u8| {
+            let mut body = 2u32.to_le_bytes().to_vec();
+            body.extend_from_slice(&[Algorithm::KEcss.wire_code(), code, 1, 0]);
+            body.extend_from_slice(&1u64.to_le_bytes());
+            body.extend_from_slice(b"ring:20");
+            decode_request(req::SUBMIT, 0, &body).unwrap_err()
+        };
+        let err = retired(2);
         assert!(err.contains("unknown enumerator code 2"), "{err}");
+        let err = retired(3);
+        assert!(
+            err.contains("code 3") && err.contains("'ks'") && err.contains("'auto'"),
+            "{err}"
+        );
         for (policy, code) in [
             (EnumeratorPolicy::Exact, 0),
             (EnumeratorPolicy::Label, 1),
-            (EnumeratorPolicy::Ks, 3),
             (EnumeratorPolicy::Auto, 4),
         ] {
             assert_eq!(enumerator_wire_code(policy), code, "{policy:?}");
             assert_eq!(enumerator_from_wire_code(code), Some(policy));
         }
+        assert_eq!(enumerator_from_wire_code(3), None);
     }
 }

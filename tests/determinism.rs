@@ -18,7 +18,7 @@ use congest::programs::flood::FloodMinElection;
 use congest::{CostModel, Network, NodeProgram};
 use graphs::{bfs, generators, mst, RootedTree};
 use kecss::cuts::{
-    AutoEnumerator, CutEnumerator, ExactEnumerator, KargerSteinEnumerator, LabelEnumerator,
+    AutoEnumerator, CutEnumerator, ExactEnumerator, LabelEnumerator, MinCutEnumerator,
 };
 use kecss_runtime::{engine, Executor};
 use proptest::prelude::*;
@@ -166,10 +166,11 @@ fn agreement_graph(shape: u8, seed: u64) -> (&'static str, graphs::Graph) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The general label enumerator and the Karger–Stein enumerator agree
+    /// The general label enumerator and the minimum-cut enumerator agree
     /// with the legacy size-1..=3 specializations on seeded
-    /// random/ring/torus/harary graphs: after exact verification all three
-    /// report exactly the induced cuts of each size.
+    /// random/ring/torus/harary graphs. Label reports exactly the induced
+    /// cuts of each size; the minimum-cut enumerator does so up to `λ(H)`
+    /// and rejects sizes above it.
     #[test]
     fn general_enumerators_agree_with_exact_specializations(
         shape in 0u8..4,
@@ -181,9 +182,18 @@ proptest! {
         let exec = Executor::Sequential;
         let exact = ExactEnumerator.cuts(&g, &h, size, 0, &exec).unwrap();
         let by_label = LabelEnumerator::default().cuts(&g, &h, size, 0, &exec).unwrap();
-        let by_ks = KargerSteinEnumerator::default().cuts(&g, &h, size, 0, &exec).unwrap();
         prop_assert_eq!(&by_label, &exact, "label vs exact on {} size {}", label, size);
-        prop_assert_eq!(&by_ks, &exact, "ks vs exact on {} size {}", label, size);
+        let by_min_cuts = MinCutEnumerator.cuts(&g, &h, size, 0, &exec);
+        if size <= graphs::connectivity::edge_connectivity(&g) {
+            prop_assert_eq!(
+                &by_min_cuts.unwrap(), &exact, "mincut vs exact on {} size {}", label, size
+            );
+        } else {
+            prop_assert!(
+                matches!(by_min_cuts, Err(kecss::Error::InvalidCutRequest { .. })),
+                "mincut above λ on {} size {}", label, size
+            );
+        }
     }
 
     /// `Threaded(4)` enumeration is bit-identical to `Sequential` for every
@@ -195,10 +205,12 @@ proptest! {
         let threaded = Executor::from_threads(4);
         for size in 1..=4usize {
             let enumerators: [&dyn CutEnumerator; 2] =
-                [&LabelEnumerator::default(), &KargerSteinEnumerator::default()];
+                [&LabelEnumerator::default(), &MinCutEnumerator];
             for e in enumerators {
-                let sequential = e.cuts(&g, &h, size, 0, &Executor::Sequential).unwrap();
-                let parallel = e.cuts(&g, &h, size, 0, &threaded).unwrap();
+                // The minimum-cut enumerator rejects sizes above λ(H); the
+                // rejection must match too.
+                let sequential = e.cuts(&g, &h, size, 0, &Executor::Sequential);
+                let parallel = e.cuts(&g, &h, size, 0, &threaded);
                 prop_assert_eq!(
                     &parallel, &sequential,
                     "{} on {} size {}", e.name(), label, size
@@ -207,13 +219,13 @@ proptest! {
         }
     }
 
-    /// Karger–Stein agrees with the deterministically-complete label
-    /// enumerator — and hence with the induced-cut ground truth — for cut
-    /// sizes 4..=6 in the minimum-cut regime the `Aug_k` driver calls from
-    /// (`h` is `size`-edge-connected, so the size-`size` cuts are exactly
-    /// the minimum cuts the recursion targets).
+    /// `auto` (the minimum-cut enumerator at these sizes) agrees with the
+    /// deterministically-complete label enumerator — and hence with the
+    /// induced-cut ground truth — for cut sizes 4..=6 in the minimum-cut
+    /// regime the `Aug_k` driver calls from (`h` is `size`-edge-connected,
+    /// so the size-`size` cuts are exactly the minimum cuts).
     #[test]
-    fn karger_stein_agrees_with_label_ground_truth(
+    fn min_cut_enumerator_agrees_with_label_ground_truth(
         seed in 0u64..500,
         size in 4usize..=6,
     ) {
@@ -224,31 +236,30 @@ proptest! {
         let h = g.full_edge_set();
         let exec = Executor::Sequential;
         let by_label = LabelEnumerator::default().cuts(&g, &h, size, 0, &exec).unwrap();
-        let by_ks = KargerSteinEnumerator::default().cuts(&g, &h, size, 0, &exec).unwrap();
-        prop_assert_eq!(&by_ks, &by_label, "ks vs label, n {} size {}", n, size);
+        let by_auto = AutoEnumerator.cuts(&g, &h, size, 0, &exec).unwrap();
+        prop_assert_eq!(&by_auto, &by_label, "auto vs label, n {} size {}", n, size);
     }
 
-    /// `Threaded(2|4|8)` Karger–Stein enumeration is bit-identical to
-    /// `Sequential` across salts: every repetition's RNG is seeded purely
-    /// from `(salt, repetition, recursion path)` and repetition results
-    /// merge in repetition order, so worker count never reaches the bytes.
+    /// `Threaded(2|4|8)` `auto` enumeration is bit-identical to
+    /// `Sequential` across salts: the per-`t` flows run in contiguous ranges
+    /// merged in range order and the result is sorted, so worker count
+    /// never reaches the bytes (nor does a rejection above `λ(H)`).
     #[test]
-    fn threaded_karger_stein_is_bit_identical_across_salts(
+    fn threaded_min_cut_enumeration_is_bit_identical(
         shape in 0u8..4,
         seed in 0u64..500,
         salt in 0u64..3,
     ) {
         let (label, g) = agreement_graph(shape, seed);
         let h = g.full_edge_set();
-        let ks = KargerSteinEnumerator::default();
         for size in 3..=4usize {
-            let sequential = ks.cuts(&g, &h, size, salt, &Executor::Sequential).unwrap();
+            let sequential = AutoEnumerator.cuts(&g, &h, size, salt, &Executor::Sequential);
             for threads in THREAD_COUNTS {
                 let exec = Executor::from_threads(threads);
-                let parallel = ks.cuts(&g, &h, size, salt, &exec).unwrap();
+                let parallel = AutoEnumerator.cuts(&g, &h, size, salt, &exec);
                 prop_assert_eq!(
                     &parallel, &sequential,
-                    "ks on {} size {} salt {} t {}", label, size, salt, threads
+                    "auto on {} size {} salt {} t {}", label, size, salt, threads
                 );
             }
         }
@@ -460,7 +471,7 @@ proptest! {
                 CostModel::for_graph(&g),
                 &mut rng,
                 &exec,
-                &AutoEnumerator::default(),
+                &AutoEnumerator,
             )
             .unwrap();
             prop_assert_eq!(&parallel.added, &sequential.added, "t = {}", threads);
